@@ -1,0 +1,10 @@
+"""Put the library and the benchmark's modules on the path for its tests.
+
+    python3 -m pytest perfbench
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
