@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success or an affirmative answer, 1 for a negative
 answer (rejected matrix, inequivalent inputs, failed certificate, oracle
-disagreement), 2 for usage or input errors.  Matrix arguments accept a
+disagreement), 2 for usage or input errors and for any internal error,
+which is reported on stderr without a traceback.  Matrix arguments accept a
 file path or inline JSON (anything starting with "[" or "{").
 """
 
@@ -248,11 +249,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, FanoBottError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FanoBottError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

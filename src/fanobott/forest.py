@@ -28,7 +28,6 @@ from fanobott.matrix import (
     FanoBottMatrix,
     PhiSigma,
     from_phi_sigma,
-    phi_sigma,
     to_phi_sigma,
 )
 
@@ -188,14 +187,6 @@ def to_matrix(t: SignedRootedForest) -> FanoBottMatrix:
     phi = tuple(p if p != 0 else d + 1 for p in t.parents)
     sigma = tuple(s if s != "" else None for s in t.signs)
     return from_phi_sigma(PhiSigma(phi, sigma))
-
-
-def to_phi_sigma_of(t: SignedRootedForest) -> PhiSigma:
-    """Parent/sign data of a label-ordered forest."""
-    d = t.size
-    phi = tuple(p if p != 0 else d + 1 for p in t.parents)
-    sigma = tuple(s if s != "" else None for s in t.signs)
-    return phi_sigma(phi, sigma)
 
 
 def relabel_topological(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from typing import Iterator, Sequence
 
 
@@ -93,30 +93,49 @@ class FanoBottMatrix:
 
 
 def _classify_row(rows: Sequence[Sequence[int]], p0: int) -> RowStructure:
-    """Match row p0 (0-based) against the three admissible templates."""
+    """Match row p0 (0-based) against the three admissible templates.
+
+    Rows that match are decided by slice comparisons; only a failing row
+    is scanned entry by entry, to name its first offending column.
+    """
     row = rows[p0]
     d = len(rows)
-    q0 = next((j for j, v in enumerate(row) if v != 0), None)
+    q0 = next(compress(range(len(row)), row), None)
     if q0 is None:
         return RowStructure(ROW_ZERO)
-    lead = row[q0]
-    if lead == 1:
-        bad = next((j for j in range(q0 + 1, d) if row[j] != 0), None)
-        if bad is not None:
+    if row[q0] == 1:
+        if any(row[q0 + 1:]):
+            bad = next(j for j in range(q0 + 1, d) if row[j] != 0)
             raise InvalidMatrixError(
                 p0 + 1,
                 f"leading +1 in column {q0 + 1} but entry in column {bad + 1} "
                 "is nonzero: not a unit row",
             )
         return RowStructure(ROW_UNIT, q0 + 1)
-    bad = next((j for j in range(q0 + 1, d) if row[j] != rows[q0][j]), None)
-    if bad is not None:
-        raise InvalidMatrixError(
-            p0 + 1,
-            f"leading -1 in column {q0 + 1} but entry in column {bad + 1} "
-            f"differs from row {q0 + 1}: not a copy row",
-        )
+    if row[q0 + 1:] != rows[q0][q0 + 1:]:
+        bad = next((j for j in range(q0 + 1, d) if row[j] != rows[q0][j]), None)
+        if bad is not None:
+            raise InvalidMatrixError(
+                p0 + 1,
+                f"leading -1 in column {q0 + 1} but entry in column {bad + 1} "
+                f"differs from row {q0 + 1}: not a copy row",
+            )
     return RowStructure(ROW_COPY, q0 + 1)
+
+
+def _reject_entries(row: tuple[int, ...], p0: int) -> None:
+    """Name the first entry of row p0 on or below the diagonal or out of range."""
+    for j0, value in enumerate(row):
+        if j0 <= p0 and value != 0:
+            raise InvalidMatrixError(
+                p0 + 1,
+                f"nonzero entry ({p0 + 1},{j0 + 1}) on or below the diagonal",
+            )
+        if value not in (-1, 0, 1):
+            raise InvalidMatrixError(
+                p0 + 1,
+                f"entry ({p0 + 1},{j0 + 1}) = {value} outside {{-1,0,1}}",
+            )
 
 
 def validate(grid: Sequence[Sequence[int]]) -> FanoBottMatrix:
@@ -129,7 +148,7 @@ def validate(grid: Sequence[Sequence[int]]) -> FanoBottMatrix:
     Raises:
         InvalidMatrixError: with the 1-based row and the failed condition.
     """
-    rows = tuple(tuple(int(x) for x in row) for row in grid)
+    rows = tuple(tuple(map(int, row)) for row in grid)
     d = len(rows)
     for p0, row in enumerate(rows):
         if len(row) != d:
@@ -137,17 +156,8 @@ def validate(grid: Sequence[Sequence[int]]) -> FanoBottMatrix:
                 p0 + 1, f"row has {len(row)} entries, expected {d}"
             )
     for p0, row in enumerate(rows):
-        for j0, value in enumerate(row):
-            if j0 <= p0 and value != 0:
-                raise InvalidMatrixError(
-                    p0 + 1,
-                    f"nonzero entry ({p0 + 1},{j0 + 1}) on or below the diagonal",
-                )
-            if value not in (-1, 0, 1):
-                raise InvalidMatrixError(
-                    p0 + 1,
-                    f"entry ({p0 + 1},{j0 + 1}) = {value} outside {{-1,0,1}}",
-                )
+        if any(row[:p0 + 1]) or min(row) < -1 or max(row) > 1:
+            _reject_entries(row, p0)
         _classify_row(rows, p0)
     return FanoBottMatrix(rows)
 

@@ -28,6 +28,7 @@ from typing import Iterable, Sequence, Union
 
 from fanobott.forest import (
     DIFFEO,
+    _FLIP,
     SignedRootedForest,
     canonical_code,
     children_map,
@@ -42,8 +43,6 @@ from fanobott.matrix import (
     to_phi_sigma,
     validate,
 )
-
-_FLIP = {"+": "-", "-": "+"}
 
 
 class OpPreconditionError(FanoBottError, ValueError):
@@ -124,7 +123,9 @@ def step_to_json(step: OpStep) -> dict:
     raise TypeError(f"not a step: {step!r}")
 
 
-def step_from_json(data: dict) -> OpStep:
+def step_from_json(data: object) -> OpStep:
+    if not isinstance(data, dict):
+        raise ValueError(f"a step must be a JSON object, not {type(data).__name__}")
     tag = data.get("op")
     if tag == "p":
         return ConjugateStep(tuple(int(x) for x in data["perm"]))

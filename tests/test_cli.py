@@ -198,6 +198,30 @@ class TestErrorPaths:
         assert code == 2
         assert "row 1" in err
 
+    def test_non_integer_entry_exits_2_without_traceback(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "fanobott.cli", "validate", "--inline",
+             "[[0,null],[0,0]]"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.stderr
+
+    def test_non_object_step_exits_2(self, capsys):
+        code, _, err = run(capsys, "certify", P2, P2, '{"steps":[1]}')
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_deep_path_never_exits_1(self, capsys):
+        n = 600
+        path = json.dumps({"size": n, "parents": list(range(2, n + 1)) + [0],
+                           "signs": ["+"] * (n - 1) + [""]})
+        code, _, err = run(capsys, "canon", "--inline", path, "--mode", "diffeo")
+        assert code in (0, 2)
+        assert "Traceback" not in err
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["equiv", P2, P2_NEG])  # --mode missing

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import math
+import random
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fb, seven_vertex_pair
 from fanobott import (
@@ -17,13 +21,20 @@ from fanobott import (
     ShapeMismatchError,
     canonical_code,
     certify_diffeo,
+    conjugate,
     find_witness,
     from_matrix,
+    from_phi_sigma,
+    phi_sigma,
     primitive_relation_degrees,
     rays,
+    replay,
     rows_match_up_to_sign,
+    to_phi_sigma,
     validate,
 )
+from fanobott.fan import _transform_rays
+from fanobott.ops import apply_step
 
 
 def laplace_det(rows):
@@ -40,6 +51,74 @@ def laplace_det(rows):
         minor = [row[:c] + row[c + 1:] for row in rows[1:]]
         total += (-1) ** c * rows[0][c] * laplace_det(minor)
     return total
+
+
+def dense_transform_rays(a, steps):
+    """Reference replay: every column flip is the literal dense product.
+
+    A column flip at k right-multiplies the 2d x d ray matrix by the d x d
+    matrix g that is the identity off row k and (row k of the current
+    matrix) - e_k on it, then swaps the rays k and d+k.  Relabelings move
+    entry (i, j) to (perm[i-1], perm[j-1]) in both halves.
+    """
+    d = a.dim
+    current = a
+    ray_rows = [list(r) for r in rays(a).rows]
+    for step in steps:
+        if isinstance(step, ConjugateStep):
+            out = [[0] * d for _ in range(2 * d)]
+            for half in (0, d):
+                for i0 in range(d):
+                    for j0 in range(d):
+                        out[half + step.perm[i0] - 1][step.perm[j0] - 1] = \
+                            ray_rows[half + i0][j0]
+            ray_rows = out
+        else:
+            k0 = step.k - 1
+            g = [
+                [
+                    (current.rows[k0][j0] - (1 if j0 == k0 else 0))
+                    if i0 == k0
+                    else (1 if i0 == j0 else 0)
+                    for j0 in range(d)
+                ]
+                for i0 in range(d)
+            ]
+            columns = list(zip(*g))
+            ray_rows = [[sum(map(mul, row, col)) for col in columns]
+                        for row in ray_rows]
+            ray_rows[k0], ray_rows[d + k0] = ray_rows[d + k0], ray_rows[k0]
+        current = apply_step(current, step)
+    return current, tuple(tuple(r) for r in ray_rows)
+
+
+def random_tower(draw_int, d):
+    """Tower whose vertex i hangs below a drawn target in i+1..d+1."""
+    phi, sigma = [], []
+    for i in range(1, d + 1):
+        target = draw_int(i + 1, d + 1)
+        phi.append(target)
+        sigma.append(("+", "-")[draw_int(0, 1)] if target <= d else None)
+    return from_phi_sigma(phi_sigma(phi, sigma))
+
+
+def admissible_relabeling(draw_int, a):
+    """A relabeling that labels every child below its parent."""
+    d = a.dim
+    phi = to_phi_sigma(a).phi
+    pending = [0] * (d + 2)
+    for target in phi:
+        pending[target] += 1
+    eligible = [v for v in range(1, d + 1) if pending[v] == 0]
+    perm = [0] * d
+    for label in range(1, d + 1):
+        v = eligible.pop(draw_int(0, len(eligible) - 1))
+        perm[v - 1] = label
+        target = phi[v - 1]
+        pending[target] -= 1
+        if target <= d and pending[target] == 0:
+            eligible.append(target)
+    return tuple(perm)
 
 
 class TestRays:
@@ -197,3 +276,62 @@ class TestCertify:
         }
         assert set(payload["row_signs"]) == {"plus_rays", "minus_rays"}
         assert len(payload["m_source"]) == 14
+
+
+class TestColumnUpdate:
+    """The in-place column update against the dense product it replaces."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_dense_product(self, data):
+        def draw_int(lo, hi):
+            return data.draw(st.integers(min_value=lo, max_value=hi))
+
+        d = draw_int(1, 12)
+        a = random_tower(draw_int, d)
+        steps, current = [], a
+        for _ in range(draw_int(0, 6)):
+            if draw_int(0, 2) == 0:
+                step = ConjugateStep(admissible_relabeling(draw_int, current))
+            else:
+                step = ColumnFlipStep(draw_int(1, d))
+            steps.append(step)
+            current = apply_step(current, step)
+        reached, expected = dense_transform_rays(a, steps)
+        transformed, m_transformed = _transform_rays(a, rays(a), steps)
+        assert transformed == reached == current
+        assert m_transformed.rows == expected
+
+    def test_certifies_d128_pair_built_from_moves(self):
+        rng = random.Random(128)
+        d = 128
+        a = random_tower(rng.randint, d)
+        perm = admissible_relabeling(rng.randint, a)
+        current = validate(conjugate(a, perm))
+        steps = [ConjugateStep(perm)]
+        parents = set(to_phi_sigma(current).phi) - {d + 1}
+        for k in rng.sample(sorted(parents), 3):
+            steps.append(ColumnFlipStep(k))
+            current = apply_step(current, steps[-1])
+        prefix = list(steps)
+        phi = to_phi_sigma(current).phi
+        root_edges = [(k, phi[k - 1]) for k in range(1, d + 1)
+                      if phi[k - 1] <= d and phi[phi[k - 1] - 1] == d + 1]
+        for k, l in rng.sample(root_edges, 2):
+            steps.append(RootEdgeFlipStep(k, l))
+            current = apply_step(current, steps[-1])
+        b = current
+        witness = OpSequence(tuple(steps), a.digest(), b.digest())
+
+        assert replay(a, witness) == b
+        certificate = certify_diffeo(a, b, witness)
+        _, dense_rows = dense_transform_rays(a, prefix)
+        assert certificate.m_transformed.rows == dense_rows
+        final = [list(row) for row in dense_rows]
+        for diag in certificate.flip_diagonals:
+            for row in final:
+                for j0 in range(d):
+                    row[j0] *= diag[j0]
+        report = rows_match_up_to_sign(final, rays(b))
+        assert report.matches
+        assert certificate.row_signs == report.signs

@@ -5,12 +5,15 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FOREST_5, REFERENCE_6, TREE_5, fb
 from fanobott import (
     InvalidMatrixError,
     InvalidPhiError,
     PhiSigma,
+    RowStructure,
     count_matrices,
     direct_sum,
     enumerate_matrices,
@@ -47,7 +50,91 @@ def row_is_admissible(rows, p):
     return False
 
 
+def reference_classify_row(rows, p0):
+    """Per-entry template matcher; the reference for _classify_row."""
+    row = rows[p0]
+    d = len(rows)
+    q0 = next((j for j, v in enumerate(row) if v != 0), None)
+    if q0 is None:
+        return RowStructure("zero")
+    lead = row[q0]
+    if lead == 1:
+        bad = next((j for j in range(q0 + 1, d) if row[j] != 0), None)
+        if bad is not None:
+            raise InvalidMatrixError(
+                p0 + 1,
+                f"leading +1 in column {q0 + 1} but entry in column {bad + 1} "
+                "is nonzero: not a unit row",
+            )
+        return RowStructure("unit", q0 + 1)
+    bad = next((j for j in range(q0 + 1, d) if row[j] != rows[q0][j]), None)
+    if bad is not None:
+        raise InvalidMatrixError(
+            p0 + 1,
+            f"leading -1 in column {q0 + 1} but entry in column {bad + 1} "
+            f"differs from row {q0 + 1}: not a copy row",
+        )
+    return RowStructure("copy", q0 + 1)
+
+
+def reference_validate(grid):
+    """Per-entry validation; the reference for validate's fast path."""
+    rows = tuple(tuple(int(x) for x in row) for row in grid)
+    d = len(rows)
+    for p0, row in enumerate(rows):
+        if len(row) != d:
+            raise InvalidMatrixError(
+                p0 + 1, f"row has {len(row)} entries, expected {d}"
+            )
+    for p0, row in enumerate(rows):
+        for j0, value in enumerate(row):
+            if j0 <= p0 and value != 0:
+                raise InvalidMatrixError(
+                    p0 + 1,
+                    f"nonzero entry ({p0 + 1},{j0 + 1}) on or below the diagonal",
+                )
+            if value not in (-1, 0, 1):
+                raise InvalidMatrixError(
+                    p0 + 1,
+                    f"entry ({p0 + 1},{j0 + 1}) = {value} outside {{-1,0,1}}",
+                )
+        reference_classify_row(rows, p0)
+    return rows
+
+
+def outcome(check, grid):
+    """The accepted rows, or the (row, violation) of the rejection."""
+    try:
+        result = check(grid)
+    except InvalidMatrixError as exc:
+        return "rejected", exc.row, exc.violation
+    return "accepted", getattr(result, "rows", result)
+
+
+@st.composite
+def corrupted_grids(draw, max_dim=9):
+    """An admissible matrix with up to two entries overwritten."""
+    d = draw(st.integers(min_value=1, max_value=max_dim))
+    phi, sigma = [], []
+    for i in range(1, d + 1):
+        target = draw(st.integers(min_value=i + 1, max_value=d + 1))
+        phi.append(target)
+        sigma.append(draw(st.sampled_from("+-")) if target <= d else None)
+    grid = [list(row) for row in from_phi_sigma(phi_sigma(phi, sigma)).rows]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        i = draw(st.integers(min_value=0, max_value=d - 1))
+        j = draw(st.integers(min_value=0, max_value=d - 1))
+        grid[i][j] = draw(st.integers(min_value=-2, max_value=2))
+    return grid
+
+
 class TestValidate:
+    @settings(max_examples=400, deadline=None)
+    @given(corrupted_grids())
+    def test_agrees_with_per_entry_reference(self, grid):
+        assert outcome(validate, grid) == outcome(reference_validate, grid)
+
+
     def test_accepts_reference(self, a6):
         assert a6.dim == 6
         assert a6.entry(2, 3) == -1

@@ -210,6 +210,11 @@ class TestReplay:
             replay(a6, broken)
         assert err.value.index == 0
 
+    @pytest.mark.parametrize("step", [1, None, "2", [{"op": "2", "k": 1}]])
+    def test_witness_rejects_non_object_step(self, step):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            witness_from_json({"steps": [step]})
+
 
 class TestBfsClosure:
     def test_single_point(self):
