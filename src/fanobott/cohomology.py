@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from fanobott.forest import from_matrix, leaf_cut, leaves
 from fanobott.matrix import FanoBottError, FanoBottMatrix, validate
 
@@ -133,22 +131,19 @@ def enumerate_sve(a: FanoBottMatrix) -> SveInventory:
     return SveInventory(tuple(g), tuple(g_prime), tuple(h), len(g) + len(h))
 
 
-_CANDIDATE_CACHE: dict[tuple[int, int], np.ndarray] = {}
+_CANDIDATE_CACHE: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
 
-def _candidates(d: int, bound: int) -> np.ndarray:
+def _candidates(d: int, bound: int) -> tuple[tuple[int, ...], ...]:
     """Primitive vectors in [-bound, bound]^d with positive leading entry."""
     key = (d, bound)
     cached = _CANDIDATE_CACHE.get(key)
     if cached is not None:
         return cached
-    grid = np.array(list(product(range(-bound, bound + 1), repeat=d)), dtype=np.int64)
-    nonzero = np.any(grid != 0, axis=1)
-    grid = grid[nonzero]
-    lead = grid[np.arange(len(grid)), np.argmax(grid != 0, axis=1)]
-    grid = grid[lead > 0]
-    primitive = np.gcd.reduce(np.abs(grid), axis=1) == 1
-    grid = grid[primitive]
+    grid = tuple(
+        vec for vec in product(range(-bound, bound + 1), repeat=d)
+        if next((x for x in vec if x), 0) > 0 and math.gcd(*vec) == 1
+    )
     _CANDIDATE_CACHE[key] = grid
     return grid
 
@@ -162,15 +157,12 @@ def sve_brute_force(a: FanoBottMatrix, bound: int = 2
     identically zero.  Independent of :func:`enumerate_sve`.
     """
     d = a.dim
-    cand = _candidates(d, bound)
-    if len(cand) == 0:
-        return frozenset()
-    ok = np.ones(len(cand), dtype=bool)
+    kept = _candidates(d, bound)
     for i in range(d):
         for j in range(i + 1, d):
-            aj, ai = cand[:, j], cand[:, i]
-            ok &= aj * (aj * a.rows[i][j] + 2 * ai) == 0
-    return frozenset(tuple(int(x) for x in row) for row in cand[ok])
+            n = a.rows[i][j]
+            kept = [vec for vec in kept if vec[j] * (vec[j] * n + 2 * vec[i]) == 0]
+    return frozenset(kept)
 
 
 def quotient_by_leaf(a: FanoBottMatrix, alpha: int) -> FanoBottMatrix:

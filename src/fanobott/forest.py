@@ -17,6 +17,12 @@ sorted, comparing codes first and then signs with "+" < "-", for both the
 given signs and the globally flipped signs, and the smaller list is kept.
 Roots in "diffeo" mode drop the child-edge signs entirely.  Equal codes in
 a mode characterize equivalence under that mode's group.
+
+All subtree codes come from one iterative pass that visits children before
+parents (a reversed breadth-first search from the roots), so any depth
+works and labels need not increase toward the roots.  The witness matcher
+reuses that pass: it pairs the vertices of two equivalent forests by their
+subtree codes and reads each vertex's flip from the pass's choices.
 """
 
 from __future__ import annotations
@@ -100,10 +106,12 @@ def make_forest(parents: list[int] | tuple[int, ...],
     d = len(parents)
     if len(signs) != d:
         raise ValueError(f"{d} parents but {len(signs)} signs")
-    parents = tuple(int(p) for p in parents)
+    parents = tuple(parents)
     signs = tuple(str(s) for s in signs)
     for v in range(1, d + 1):
         p = parents[v - 1]
+        if type(p) is not int:
+            raise ValueError(f"parent({v}) = {p!r} is not an integer")
         if not 0 <= p <= d:
             raise ValueError(f"parent({v}) = {p} out of range 0..{d}")
         if p == v:
@@ -113,14 +121,15 @@ def make_forest(parents: list[int] | tuple[int, ...],
             raise ValueError(f"sign({v}) given for a root vertex")
         if p != 0 and signs[v - 1] not in expected:
             raise ValueError(f"sign({v}) = {signs[v - 1]!r} is not '+' or '-'")
-    for v in range(1, d + 1):
+    reached = _kids_and_order(parents)[1]
+    if len(reached) < d:
+        unreached = set(range(1, d + 1)).difference(reached)
         seen = set()
-        cur = v
-        while parents[cur - 1] != 0:
-            if cur in seen:
-                raise ValueError(f"parent map cycles through vertex {cur}")
+        cur = min(unreached)
+        while cur not in seen:
             seen.add(cur)
             cur = parents[cur - 1]
+        raise ValueError(f"parent map cycles through vertex {cur}")
     return SignedRootedForest(parents, signs)
 
 
@@ -218,13 +227,8 @@ def relabel_topological(
             pending[p] -= 1
             if pending[p] == 0:
                 heapq.heappush(heap, p)
-    parents = [0] * d
-    signs = [""] * d
-    for v in range(1, d + 1):
-        p = t.parents[v - 1]
-        parents[pi[v - 1] - 1] = pi[p - 1] if p != 0 else 0
-        signs[pi[v - 1] - 1] = t.signs[v - 1]
-    return SignedRootedForest(tuple(parents), tuple(signs)), tuple(pi)
+    perm = tuple(pi)
+    return relabel(t, perm), perm
 
 
 def relabel(t: SignedRootedForest, pi: tuple[int, ...]) -> SignedRootedForest:
@@ -271,40 +275,54 @@ class CanonicalCode:
     code: str
 
 
-def _vertex_code(v: int, kids: dict[int, tuple[int, ...]],
-                 signs: tuple[str, ...], mode: str,
-                 memo: dict[int, str]) -> str:
-    if v in memo:
-        return memo[v]
-    children = kids[v]
-    if not children:
-        memo[v] = LEAF_ATOM
-        return LEAF_ATOM
-    if mode == ROOTED:
-        inner = sorted(_vertex_code(c, kids, signs, mode, memo) for c in children)
-        code = "(" + ",".join(inner) + ")"
-    else:
-        tokens = [
-            (_vertex_code(c, kids, signs, mode, memo), signs[c - 1])
-            for c in children
-        ]
-        given = sorted(tokens)
-        flipped = sorted((code, _FLIP[s]) for code, s in tokens)
-        best = min(given, flipped)
-        code = "(" + ",".join(code + s for code, s in best) + ")"
-    memo[v] = code
-    return code
+def _kids_and_order(parents: tuple[int, ...]) -> tuple[list[list[int]], list[int]]:
+    """Children lists and the vertices reachable from the roots, parents first.
+
+    kids[v] lists the children of v in increasing order and kids[0] the
+    roots.  The order is a breadth-first search from the roots, so reversed
+    it visits every child before its parent, whatever the labels; it holds
+    all d vertices exactly when the parent map has no cycle.
+    """
+    kids: list[list[int]] = [[] for _ in range(len(parents) + 1)]
+    for v, p in enumerate(parents, 1):
+        kids[p].append(v)
+    order = list(kids[0])
+    for v in order:  # the loop also visits the children appended here
+        order.extend(kids[v])
+    return kids, order
 
 
-def _root_code(r: int, kids: dict[int, tuple[int, ...]],
-               signs: tuple[str, ...], mode: str,
-               memo: dict[int, str]) -> str:
-    if mode == DIFFEO:
-        inner = sorted(
-            _vertex_code(c, kids, signs, mode, memo) for c in kids[r]
-        )
-        return "[" + ",".join(inner) + "]"
-    return _vertex_code(r, kids, signs, mode, memo)
+def _bottom_up(t: SignedRootedForest, mode: str
+               ) -> tuple[list[list[int]], list[str], list[bool]]:
+    """Subtree codes of every vertex in one pass, children before parents.
+
+    Returns (kids, codes, flipped) with kids as in :func:`_kids_and_order`,
+    codes[v] the code of the subtree at v, and flipped[v] whether the
+    globally flipped token list was the one kept.  In "diffeo" mode
+    codes[r] is the root code "[...]" of each root r, built from the
+    flip-minimized codes of its children.
+    """
+    parents, signs = t.parents, t.signs
+    kids, order = _kids_and_order(parents)
+    codes = [LEAF_ATOM] * (len(parents) + 1)
+    flipped = [False] * (len(parents) + 1)
+    diffeo = mode == DIFFEO
+    for v in reversed(order):
+        children = kids[v]
+        if diffeo and not parents[v - 1]:
+            codes[v] = "[" + ",".join(sorted([codes[c] for c in children])) + "]"
+        elif not children:
+            continue
+        elif mode == ROOTED:
+            codes[v] = "(" + ",".join(sorted([codes[c] for c in children])) + ")"
+        else:
+            given = sorted([(codes[c], signs[c - 1]) for c in children])
+            other = sorted([(code, _FLIP[s]) for code, s in given])
+            if other < given:
+                given = other
+                flipped[v] = True
+            codes[v] = "(" + ",".join([code + s for code, s in given]) + ")"
+    return kids, codes, flipped
 
 
 def canonical_code(t: SignedRootedForest, mode: str) -> CanonicalCode:
@@ -316,10 +334,8 @@ def canonical_code(t: SignedRootedForest, mode: str) -> CanonicalCode:
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    kids = children_map(t)
-    memo: dict[int, str] = {}
-    root_codes = sorted(_root_code(r, kids, t.signs, mode, memo) for r in t.roots())
-    return CanonicalCode(mode, "|".join(root_codes))
+    kids, codes, _ = _bottom_up(t, mode)
+    return CanonicalCode(mode, "|".join(sorted([codes[r] for r in kids[0]])))
 
 
 def equivalent(t1: SignedRootedForest, t2: SignedRootedForest, mode: str) -> bool:
@@ -327,13 +343,48 @@ def equivalent(t1: SignedRootedForest, t2: SignedRootedForest, mode: str) -> boo
     return canonical_code(t1, mode) == canonical_code(t2, mode)
 
 
-def subtree_codes(t: SignedRootedForest) -> dict[int, str]:
-    """Flip-minimized signed code of the subtree hanging below each vertex."""
-    kids = children_map(t)
-    memo: dict[int, str] = {}
-    for v in range(1, t.size + 1):
-        _vertex_code(v, kids, t.signs, VARIETY, memo)
-    return memo
+def _match_forests(t1: SignedRootedForest, t2: SignedRootedForest
+                   ) -> tuple[dict[int, int], list[int], list[tuple[int, int]]]:
+    """Match two forests with equal diffeo codes vertex by vertex.
+
+    Returns (mapping, flips, edge_flips): a label bijection t1 -> t2, the
+    t2-labels whose child-edge signs must flip, and the (root, child)
+    t2-label pairs whose root edges must flip, so that relabeling t1 by
+    the mapping and applying the flips reproduces t2 exactly.  Roots pair
+    by root code and their children by subtree code alone; deeper children
+    pair by (code, sign), with t1's signs flipped where exactly one of the
+    two parents kept its flipped token list.
+    """
+    kids1, codes1, flipped1 = _bottom_up(t1, DIFFEO)
+    kids2, codes2, flipped2 = _bottom_up(t2, DIFFEO)
+    signs1, signs2 = t1.signs, t2.signs
+    mapping: dict[int, int] = {}
+    flips: list[int] = []
+    edge_flips: list[tuple[int, int]] = []
+    stack = [(0, 0)]
+    while stack:
+        u, u2 = stack.pop()
+        if not u or not t1.parents[u - 1]:
+            items1 = [(codes1[c], c) for c in kids1[u]]
+            items2 = [(codes2[c], c) for c in kids2[u2]]
+        else:
+            eps = flipped1[u] != flipped2[u2]
+            if eps:
+                flips.append(u2)
+            items1 = [((codes1[c], _FLIP[signs1[c - 1]] if eps else signs1[c - 1]), c)
+                      for c in kids1[u]]
+            items2 = [((codes2[c], signs2[c - 1]), c) for c in kids2[u2]]
+        # sorted by (key, label), equal keys pair up in increasing label order
+        items1.sort()
+        items2.sort()
+        if [key for key, _ in items1] != [key for key, _ in items2]:
+            raise FanoBottError("internal: forest matching diverged")
+        for (_, c), (_, c2) in zip(items1, items2):
+            mapping[c] = c2
+            if u and not t1.parents[u - 1] and signs1[c - 1] != signs2[c2 - 1]:
+                edge_flips.append((u2, c2))
+            stack.append((c, c2))
+    return mapping, flips, edge_flips
 
 
 def render_dot(t: SignedRootedForest) -> str:

@@ -19,7 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from itertools import compress, product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class FanoBottError(Exception):
@@ -46,6 +46,8 @@ class InvalidMatrixError(FanoBottError, ValueError):
 class InvalidPhiError(FanoBottError, ValueError):
     """Parent map violates the ordering condition i < phi(i) <= d+1."""
 
+
+_INT_ONLY = frozenset({int})
 
 ROW_ZERO = "zero"
 ROW_UNIT = "unit"
@@ -146,9 +148,15 @@ def validate(grid: Sequence[Sequence[int]]) -> FanoBottMatrix:
     outside {-1, 0, 1}, then for matching none of the three row templates.
 
     Raises:
+        ValueError: naming the first entry whose type is not int (bool
+            included), before any other check.
         InvalidMatrixError: with the 1-based row and the failed condition.
     """
-    rows = tuple(tuple(map(int, row)) for row in grid)
+    rows = tuple(map(tuple, grid))
+    for p0, row in enumerate(rows):
+        if not _INT_ONLY.issuperset(map(type, row)):
+            j0, value = next((j0, x) for j0, x in enumerate(row) if type(x) is not int)
+            raise ValueError(f"entry ({p0 + 1},{j0 + 1}) = {value!r} is not an integer")
     d = len(rows)
     for p0, row in enumerate(rows):
         if len(row) != d:
@@ -242,6 +250,30 @@ def to_phi_sigma(a: FanoBottMatrix) -> PhiSigma:
     return PhiSigma(tuple(phi), tuple(sigma))
 
 
+def _rows_bottom_up(d: int, choices: Iterable[tuple[int, str | None]]
+                   ) -> tuple[tuple[int, ...], ...]:
+    """Materialize rows d, d-1, ..., 1 from their (phi, sigma) choices.
+
+    A root (phi = d+1) gives a zero row, a "+" edge the unit row of the
+    parent column, and a "-" edge the parent's row minus that unit row,
+    which sets the parent's zero diagonal entry to -1.
+    """
+    rows = [(0,) * d] * d
+    i0 = d
+    for target, sign in choices:
+        i0 -= 1
+        if target > d:
+            continue
+        if sign == "+":
+            row = [0] * d
+            row[target - 1] = 1
+        else:
+            row = list(rows[target - 1])
+            row[target - 1] = -1
+        rows[i0] = tuple(row)
+    return tuple(rows)
+
+
 def from_phi_sigma(ps: PhiSigma) -> FanoBottMatrix:
     """Rebuild the matrix from parent/sign data.
 
@@ -250,21 +282,8 @@ def from_phi_sigma(ps: PhiSigma) -> FanoBottMatrix:
     row minus that unit row.  This inverts :func:`to_phi_sigma`.
     """
     ps = phi_sigma(ps.phi, ps.sigma)
-    d = ps.dim
-    rows: list[tuple[int, ...]] = [()] * d
-    for i0 in range(d - 1, -1, -1):
-        target = ps.phi[i0]
-        if target == d + 1:
-            rows[i0] = (0,) * d
-        elif ps.sigma[i0] == "+":
-            rows[i0] = tuple(1 if j0 == target - 1 else 0 for j0 in range(d))
-        else:
-            parent_row = rows[target - 1]
-            rows[i0] = tuple(
-                v - (1 if j0 == target - 1 else 0)
-                for j0, v in enumerate(parent_row)
-            )
-    return FanoBottMatrix(tuple(rows))
+    choices = zip(reversed(ps.phi), reversed(ps.sigma))
+    return FanoBottMatrix(_rows_bottom_up(ps.dim, choices))
 
 
 def enumerate_matrices(d: int) -> Iterator[FanoBottMatrix]:
@@ -277,28 +296,14 @@ def enumerate_matrices(d: int) -> Iterator[FanoBottMatrix]:
     """
     if d < 1:
         raise ValueError("d must be at least 1")
-    per_row: list[list[tuple[str, int | None]]] = []
+    per_row: list[list[tuple[int, str | None]]] = [[(d + 1, None)]]
     for p in range(d - 1, 0, -1):
-        choices: list[tuple[str, int | None]] = [(ROW_ZERO, None)]
-        choices += [(ROW_UNIT, q) for q in range(p + 1, d + 1)]
-        choices += [(ROW_COPY, q) for q in range(p + 1, d + 1)]
+        choices: list[tuple[int, str | None]] = [(d + 1, None)]
+        choices += [(q, "+") for q in range(p + 1, d + 1)]
+        choices += [(q, "-") for q in range(p + 1, d + 1)]
         per_row.append(choices)
-    zero_row = (0,) * d
     for combo in product(*per_row):
-        rows = [zero_row] * d
-        for offset, (kind, q) in enumerate(combo):
-            p0 = d - 2 - offset
-            if kind == ROW_ZERO:
-                rows[p0] = zero_row
-            elif kind == ROW_UNIT:
-                rows[p0] = tuple(1 if j0 == q - 1 else 0 for j0 in range(d))
-            else:
-                parent_row = rows[q - 1]
-                rows[p0] = tuple(
-                    v - (1 if j0 == q - 1 else 0)
-                    for j0, v in enumerate(parent_row)
-                )
-        yield FanoBottMatrix(tuple(rows))
+        yield FanoBottMatrix(_rows_bottom_up(d, combo))
 
 
 def count_matrices(d: int) -> int:

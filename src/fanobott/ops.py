@@ -26,15 +26,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Sequence, Union
 
-from fanobott.forest import (
-    DIFFEO,
-    _FLIP,
-    SignedRootedForest,
-    canonical_code,
-    children_map,
-    from_matrix,
-    subtree_codes,
-)
+from fanobott.forest import DIFFEO, _match_forests, canonical_code, from_matrix
 from fanobott.matrix import (
     FanoBottError,
     FanoBottMatrix,
@@ -332,79 +324,6 @@ def bfs_closure_classes(d: int, *,
             order.append(root)
         groups[root].append(m)
     return [groups[root] for root in order]
-
-
-def _match_forests(t1: SignedRootedForest, t2: SignedRootedForest
-                   ) -> tuple[dict[int, int], list[int], list[tuple[int, int]]]:
-    """Match two forests with equal diffeo codes vertex by vertex.
-
-    Returns (mapping, flips, edge_flips): a label bijection t1 -> t2, the
-    t2-labels whose child-edge signs must flip, and the (root, child)
-    t2-label pairs whose root edges must flip, so that relabeling t1 by
-    the mapping and applying the flips reproduces t2 exactly.
-    """
-    kids1, kids2 = children_map(t1), children_map(t2)
-    code1, code2 = subtree_codes(t1), subtree_codes(t2)
-    mapping: dict[int, int] = {}
-    flips: list[int] = []
-    edge_flips: list[tuple[int, int]] = []
-
-    def pair_groups(items1: list[tuple], items2: list[tuple],
-                    ) -> list[tuple[int, int]]:
-        groups1: dict[object, list[int]] = defaultdict(list)
-        groups2: dict[object, list[int]] = defaultdict(list)
-        for key, label in items1:
-            groups1[key].append(label)
-        for key, label in items2:
-            groups2[key].append(label)
-        if set(groups1) != set(groups2):
-            raise FanoBottError("internal: forest matching diverged")
-        pairs = []
-        for key in groups1:
-            g1, g2 = sorted(groups1[key]), sorted(groups2[key])
-            if len(g1) != len(g2):
-                raise FanoBottError("internal: forest matching diverged")
-            pairs.extend(zip(g1, g2))
-        return pairs
-
-    def match(u: int, u2: int) -> None:
-        mapping[u] = u2
-        toks1 = sorted((code1[c], t1.signs[c - 1]) for c in kids1[u])
-        toks2 = sorted((code2[c], t2.signs[c - 1]) for c in kids2[u2])
-        flipped1 = sorted((code, _FLIP[s]) for code, s in toks1)
-        if toks1 == toks2:
-            eps = 0
-        elif flipped1 == toks2:
-            eps = 1
-        else:
-            raise FanoBottError("internal: forest matching diverged")
-        if eps:
-            flips.append(u2)
-        items1 = [
-            ((code1[c], t1.signs[c - 1] if not eps else _FLIP[t1.signs[c - 1]]), c)
-            for c in kids1[u]
-        ]
-        items2 = [((code2[c], t2.signs[c - 1]), c) for c in kids2[u2]]
-        for c, c2 in pair_groups(items1, items2):
-            match(c, c2)
-
-    def match_root(r: int, r2: int) -> None:
-        mapping[r] = r2
-        items1 = [(code1[c], c) for c in kids1[r]]
-        items2 = [(code2[c], c) for c in kids2[r2]]
-        for c, c2 in pair_groups(items1, items2):
-            if t1.signs[c - 1] != t2.signs[c2 - 1]:
-                edge_flips.append((r2, c2))
-            match(c, c2)
-
-    def root_code(t: SignedRootedForest, kids, codes, r: int) -> str:
-        return "[" + ",".join(sorted(codes[c] for c in kids[r])) + "]"
-
-    items1 = [(root_code(t1, kids1, code1, r), r) for r in t1.roots()]
-    items2 = [(root_code(t2, kids2, code2, r), r) for r in t2.roots()]
-    for r, r2 in pair_groups(items1, items2):
-        match_root(r, r2)
-    return mapping, flips, edge_flips
 
 
 def find_witness(a: FanoBottMatrix, a2: FanoBottMatrix) -> OpSequence | None:

@@ -9,7 +9,16 @@ import sys
 import pytest
 
 from conftest import REFERENCE_6, seven_vertex_pair
+from fanobott import (
+    DIFFEO,
+    MODES,
+    canonical_code,
+    leaf_cut,
+    make_forest,
+    relabel_topological,
+)
 from fanobott.cli import main
+from test_forest import caterpillar_forest, path_forest
 
 P2 = "[[0,1],[0,0]]"
 P2_NEG = "[[0,-1],[0,0]]"
@@ -101,6 +110,23 @@ class TestCanonEquiv:
         right = json.dumps(b.to_json()["entries"])
         assert run(capsys, "equiv", left, right, "--mode", "variety")[0] == 1
         assert run(capsys, "equiv", left, right, "--mode", "diffeo")[0] == 0
+
+
+    @pytest.mark.parametrize("forest", [
+        path_forest(5000, ["+-"[v % 2] for v in range(2, 5001)]),
+        caterpillar_forest(2500),
+    ], ids=["path", "caterpillar"])
+    def test_deep_forests(self, capsys, forest):
+        left = json.dumps(forest.to_json())
+        right = json.dumps(relabel_topological(forest)[0].to_json())
+        for mode in MODES:
+            code, out, _ = run(capsys, "canon", "--inline", left, "--mode", mode)
+            assert (code, out) == (0, canonical_code(forest, mode).code + "\n")
+            assert run(capsys, "equiv", left, right, "--mode", mode)[:2] == (
+                0, "true\n")
+        other = json.dumps(leaf_cut(forest, forest.size).to_json())
+        assert run(capsys, "equiv", left, other, "--mode", DIFFEO)[:2] == (
+            1, "false\n")
 
 
 class TestWitnessCertify:
@@ -214,18 +240,42 @@ class TestErrorPaths:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("entry", ["1.7", "0.5", '"1"', "true"])
+    def test_non_integer_entry_is_an_input_error(self, capsys, entry):
+        code, out, err = run(capsys, "validate", "--inline",
+                             f"[[0,{entry}],[0,0]]")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: entry (1,2) = ")
+
+    def test_non_integer_parent_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "canon", "--inline",
+                             '{"parents":[2.9,0,0],"signs":["+","",""]}',
+                             "--mode", "rooted")
+        assert (code, out) == (2, "")
+        assert err == "error: parent(1) = 2.9 is not an integer\n"
+
     def test_deep_path_never_exits_1(self, capsys):
         n = 600
-        path = json.dumps({"size": n, "parents": list(range(2, n + 1)) + [0],
-                           "signs": ["+"] * (n - 1) + [""]})
-        code, _, err = run(capsys, "canon", "--inline", path, "--mode", "diffeo")
-        assert code in (0, 2)
-        assert "Traceback" not in err
+        t = make_forest(list(range(2, n + 1)) + [0], ["+"] * (n - 1) + [""])
+        code, out, err = run(capsys, "canon", "--inline",
+                             json.dumps(t.to_json()), "--mode", "diffeo")
+        assert code == 0
+        assert out == canonical_code(t, DIFFEO).code + "\n"
+        assert err == ""
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["equiv", P2, P2_NEG])  # --mode missing
         assert err.value.code == 2
+
+
+def test_import_leaves_numpy_out():
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fanobott.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stdout) == (0, "False\n")
 
 
 def test_console_entry_point():

@@ -33,6 +33,63 @@ from fanobott import (
 FLIP = {"+": "-", "-": "+"}
 
 
+def reference_vertex_code(v, kids, signs, mode, memo):
+    """The recursive vertex code the iterative pass replaced."""
+    if v in memo:
+        return memo[v]
+    children = kids[v]
+    if not children:
+        memo[v] = "L"
+        return "L"
+    if mode == ROOTED:
+        inner = sorted(reference_vertex_code(c, kids, signs, mode, memo)
+                       for c in children)
+        code = "(" + ",".join(inner) + ")"
+    else:
+        tokens = [
+            (reference_vertex_code(c, kids, signs, mode, memo), signs[c - 1])
+            for c in children
+        ]
+        given = sorted(tokens)
+        flipped = sorted((code, FLIP[s]) for code, s in tokens)
+        best = min(given, flipped)
+        code = "(" + ",".join(code + s for code, s in best) + ")"
+    memo[v] = code
+    return code
+
+
+def reference_root_code(r, kids, signs, mode, memo):
+    """The recursive root code the iterative pass replaced."""
+    if mode == DIFFEO:
+        inner = sorted(
+            reference_vertex_code(c, kids, signs, mode, memo) for c in kids[r]
+        )
+        return "[" + ",".join(inner) + "]"
+    return reference_vertex_code(r, kids, signs, mode, memo)
+
+
+def reference_code(t, mode):
+    """Forest code string built from the recursive reference."""
+    kids = children_map(t)
+    memo = {}
+    return "|".join(sorted(reference_root_code(r, kids, t.signs, mode, memo)
+                           for r in t.roots()))
+
+
+def path_forest(n, signs=None):
+    """Path n -> n-1 -> ... -> 1 rooted at 1, so labels fall toward the root."""
+    signs = signs or ["+"] * (n - 1)
+    return make_forest([0] + list(range(1, n)), [""] + list(signs))
+
+
+def caterpillar_forest(spine):
+    """Spine 1..spine rooted at 1 (labels fall toward the root), one leaf on
+    every spine vertex, signs alternating along the spine."""
+    parents = [0] + list(range(1, spine)) + list(range(1, spine + 1))
+    signs = [""] + ["+-"[v % 2] for v in range(2, spine + 1)] + ["-"] * spine
+    return make_forest(parents, signs)
+
+
 @st.composite
 def forests(draw, max_size=8):
     """Random label-ordered forest via parent targets above each vertex."""
@@ -110,6 +167,26 @@ class TestConversion:
     def test_json_round_trip(self, tree5):
         t = from_matrix(tree5)
         assert forest_from_json(t.to_json()) == t
+
+
+class TestMakeForest:
+    @pytest.mark.parametrize("parents, vertex", [
+        ((2, 1), 1),
+        ((2, 3, 2, 0), 2),
+        ((0, 3, 4, 2), 2),
+        ((0, 1, 5, 3, 4), 3),
+    ])
+    def test_cycle_message_names_the_first_repeated_vertex(self, parents, vertex):
+        signs = ["" if p == 0 else "+" for p in parents]
+        with pytest.raises(ValueError) as err:
+            make_forest(parents, signs)
+        assert str(err.value) == f"parent map cycles through vertex {vertex}"
+
+    @pytest.mark.parametrize("bad", [2.9, 2.0, "2", True, None])
+    def test_rejects_non_integer_parent(self, bad):
+        with pytest.raises(ValueError) as err:
+            forest_from_json({"size": 2, "parents": [bad, 0], "signs": ["+", ""]})
+        assert str(err.value) == f"parent(1) = {bad!r} is not an integer"
 
 
 class TestRelabel:
@@ -215,6 +292,39 @@ class TestCanonicalCodes:
             assert len({canonical_code(t, VARIETY).code for t in members}) == 1
         for members in by_variety.values():
             assert len({canonical_code(t, DIFFEO).code for t in members}) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(forests(max_size=9), st.data())
+    def test_matches_recursive_reference(self, t, data):
+        perm = tuple(data.draw(st.permutations(range(1, t.size + 1))))
+        for forest in (t, relabel(t, perm)):
+            for mode in MODES:
+                assert canonical_code(forest, mode).code == reference_code(forest, mode)
+
+    def test_deep_path_codes(self):
+        n = 5000
+        t = path_forest(n, ["+-"[v % 2] for v in range(2, n + 1)])
+        assert canonical_code(t, ROOTED).code == "(" * (n - 1) + "L" + ")" * (n - 1)
+        variety = "(" * (n - 1) + "L" + "+)" * (n - 1)
+        assert canonical_code(t, VARIETY).code == variety
+        assert canonical_code(t, DIFFEO).code == (
+            "[" + "(" * (n - 2) + "L" + "+)" * (n - 2) + "]")
+        assert equivalent(t, path_forest(n), VARIETY)
+        assert not equivalent(t, path_forest(n - 1), DIFFEO)
+
+    def test_deep_caterpillar_codes(self):
+        t = caterpillar_forest(2500)
+        ordered, _ = relabel_topological(t)
+        flipped = flip_children_at(t, set(range(1, 2500, 3)))
+        for mode in MODES:
+            code = canonical_code(t, mode)
+            assert code == canonical_code(ordered, mode)
+            assert code == canonical_code(flipped, mode)
+        # the last spine vertex carries one leaf, every other one the rest
+        # of the spine and a leaf ("(" sorts before "L")
+        assert canonical_code(t, ROOTED).code == (
+            "(" * 2499 + "(L)" + ",L)" * 2499)
+        assert not equivalent(t, path_forest(5000), ROOTED)
 
     @settings(max_examples=120, deadline=None)
     @given(labeled_forests(), st.data())

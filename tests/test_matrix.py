@@ -162,6 +162,13 @@ class TestValidate:
         assert err.value.row == 1
         assert "outside" in err.value.violation
 
+    @pytest.mark.parametrize("bad", [1.7, 0.5, 1.0, "1", True, None])
+    def test_rejects_non_integer_entry(self, bad):
+        with pytest.raises(ValueError) as err:
+            validate([[0, 1, 0], [0, 0, bad], [0, 0, 0]])
+        assert not isinstance(err.value, InvalidMatrixError)
+        assert str(err.value) == f"entry (2,3) = {bad!r} is not an integer"
+
     def test_rejects_ragged_grid(self):
         with pytest.raises(InvalidMatrixError):
             validate([[0, 1], [0]])

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     REFERENCE_6_COLFLIP_3,
@@ -24,20 +28,132 @@ from fanobott import (
     RootEdgeFlipStep,
     SignedRootedForest,
     StepFailedError,
+    FanoBottError,
     bfs_closure_classes,
     canonical_code,
+    certify_diffeo,
     children_map,
     conjugate,
     find_witness,
     flip_column,
     flip_root_edge,
     from_matrix,
+    make_forest,
+    relabel,
+    relabel_topological,
     replay,
+    to_matrix,
     validate,
     witness_from_json,
 )
+from fanobott.forest import _match_forests
+from test_forest import (
+    flip_children_at,
+    flip_edges,
+    forests,
+    labeled_forests,
+    reference_vertex_code,
+)
 
 FLIP = {"+": "-", "-": "+"}
+
+
+def reference_match_forests(t1, t2):
+    """The recursive matcher the iterative one replaced."""
+    def subtree_codes(t):
+        kids = children_map(t)
+        memo = {}
+        for v in range(1, t.size + 1):
+            reference_vertex_code(v, kids, t.signs, VARIETY, memo)
+        return memo
+
+    kids1, kids2 = children_map(t1), children_map(t2)
+    code1, code2 = subtree_codes(t1), subtree_codes(t2)
+    mapping = {}
+    flips = []
+    edge_flips = []
+
+    def pair_groups(items1, items2):
+        groups1 = defaultdict(list)
+        groups2 = defaultdict(list)
+        for key, label in items1:
+            groups1[key].append(label)
+        for key, label in items2:
+            groups2[key].append(label)
+        if set(groups1) != set(groups2):
+            raise FanoBottError("internal: forest matching diverged")
+        pairs = []
+        for key in groups1:
+            g1, g2 = sorted(groups1[key]), sorted(groups2[key])
+            if len(g1) != len(g2):
+                raise FanoBottError("internal: forest matching diverged")
+            pairs.extend(zip(g1, g2))
+        return pairs
+
+    def match(u, u2):
+        mapping[u] = u2
+        toks1 = sorted((code1[c], t1.signs[c - 1]) for c in kids1[u])
+        toks2 = sorted((code2[c], t2.signs[c - 1]) for c in kids2[u2])
+        flipped1 = sorted((code, FLIP[s]) for code, s in toks1)
+        if toks1 == toks2:
+            eps = 0
+        elif flipped1 == toks2:
+            eps = 1
+        else:
+            raise FanoBottError("internal: forest matching diverged")
+        if eps:
+            flips.append(u2)
+        items1 = [
+            ((code1[c], t1.signs[c - 1] if not eps else FLIP[t1.signs[c - 1]]), c)
+            for c in kids1[u]
+        ]
+        items2 = [((code2[c], t2.signs[c - 1]), c) for c in kids2[u2]]
+        for c, c2 in pair_groups(items1, items2):
+            match(c, c2)
+
+    def match_root(r, r2):
+        mapping[r] = r2
+        items1 = [(code1[c], c) for c in kids1[r]]
+        items2 = [(code2[c], c) for c in kids2[r2]]
+        for c, c2 in pair_groups(items1, items2):
+            if t1.signs[c - 1] != t2.signs[c2 - 1]:
+                edge_flips.append((r2, c2))
+            match(c, c2)
+
+    def root_code(kids, codes, r):
+        return "[" + ",".join(sorted(codes[c] for c in kids[r])) + "]"
+
+    items1 = [(root_code(kids1, code1, r), r) for r in t1.roots()]
+    items2 = [(root_code(kids2, code2, r), r) for r in t2.roots()]
+    for r, r2 in pair_groups(items1, items2):
+        match_root(r, r2)
+    return mapping, flips, edge_flips
+
+
+def reference_witness_steps(a, b):
+    """Steps find_witness builds, with the matching from the reference."""
+    mapping, flips, edge_flips = reference_match_forests(from_matrix(a),
+                                                         from_matrix(b))
+    perm = tuple(mapping[i] for i in range(1, a.dim + 1))
+    steps = [] if perm == tuple(range(1, a.dim + 1)) else [ConjugateStep(perm)]
+    steps.extend(ColumnFlipStep(k) for k in sorted(flips))
+    steps.extend(RootEdgeFlipStep(k, l) for l, k in sorted(edge_flips))
+    return tuple(steps)
+
+
+@st.composite
+def diffeo_partners(draw, source):
+    """A relabeling of the forest with random child and root-edge flips."""
+    t = draw(source)
+    perm = tuple(draw(st.permutations(range(1, t.size + 1))))
+    other = relabel(t, perm)
+    vertices = range(1, t.size + 1)
+    other = flip_children_at(other, set(draw(st.lists(st.sampled_from(vertices))))
+                             if t.size else set())
+    root_children = [v for v in vertices if other.parents[v - 1] in other.roots()]
+    if root_children:
+        other = flip_edges(other, set(draw(st.lists(st.sampled_from(root_children)))))
+    return t, other
 
 
 def valid_edge_flip_pairs(m):
@@ -281,6 +397,37 @@ class TestFindWitness:
                     assert replay(a, sequence) == b
                 else:
                     assert sequence is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(diffeo_partners(forests(max_size=9)))
+    def test_steps_match_recursive_reference(self, pair):
+        t, other = pair
+        a, b = to_matrix(t), to_matrix(relabel_topological(other)[0])
+        sequence = find_witness(a, b)
+        assert sequence.steps == reference_witness_steps(a, b)
+        assert replay(a, sequence) == b
+
+    @settings(max_examples=200, deadline=None)
+    @given(diffeo_partners(labeled_forests(max_size=9)))
+    def test_matching_equals_reference_on_unordered_labels(self, pair):
+        mapping, flips, edge_flips = _match_forests(*pair)
+        expected = reference_match_forests(*pair)
+        assert mapping == expected[0]
+        assert sorted(flips) == sorted(expected[1])
+        assert sorted(edge_flips) == sorted(expected[2])
+
+    def test_deep_path_witness_certifies(self):
+        # past the default recursion limit of 1000
+        n = 1100
+        a = to_matrix(make_forest(list(range(2, n + 1)) + [0],
+                                  ["+"] * (n - 1) + [""]))
+        b = flip_root_edge(flip_column(flip_column(a, 10), 700), n - 1, n)
+        sequence = find_witness(a, b)
+        assert sequence.steps == (ColumnFlipStep(10), ColumnFlipStep(700),
+                                  RootEdgeFlipStep(n - 1, n))
+        certificate = certify_diffeo(a, b, sequence)
+        assert certificate.witness == sequence
+        assert len(certificate.row_signs) == 2 * n
 
     def test_witness_json_round_trip(self):
         a, b = seven_vertex_pair()
