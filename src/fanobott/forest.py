@@ -33,6 +33,7 @@ from fanobott.matrix import (
     FanoBottError,
     FanoBottMatrix,
     PhiSigma,
+    _require_int,
     from_phi_sigma,
     to_phi_sigma,
 )
@@ -139,7 +140,7 @@ def forest_from_json(data: object) -> SignedRootedForest:
         raise ValueError('forest object must carry "parents" and "signs"')
     if not isinstance(data["parents"], list) or not isinstance(data["signs"], list):
         raise ValueError('"parents" and "signs" must be lists')
-    if "size" in data and int(data["size"]) != len(data["parents"]):
+    if "size" in data and _require_int("size", data["size"]) != len(data["parents"]):
         raise ValueError('"size" does not match the number of parents')
     return make_forest(data["parents"], data["signs"])
 
@@ -335,7 +336,12 @@ def canonical_code(t: SignedRootedForest, mode: str) -> CanonicalCode:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     kids, codes, _ = _bottom_up(t, mode)
-    return CanonicalCode(mode, "|".join(sorted([codes[r] for r in kids[0]])))
+    return CanonicalCode(mode, _forest_code(kids, codes))
+
+
+def _forest_code(kids: list[list[int]], codes: list[str]) -> str:
+    """The sorted root codes of a pass from :func:`_bottom_up`, joined."""
+    return "|".join(sorted([codes[r] for r in kids[0]]))
 
 
 def equivalent(t1: SignedRootedForest, t2: SignedRootedForest, mode: str) -> bool:
@@ -344,19 +350,22 @@ def equivalent(t1: SignedRootedForest, t2: SignedRootedForest, mode: str) -> boo
 
 
 def _match_forests(t1: SignedRootedForest, t2: SignedRootedForest
-                   ) -> tuple[dict[int, int], list[int], list[tuple[int, int]]]:
-    """Match two forests with equal diffeo codes vertex by vertex.
+                   ) -> tuple[dict[int, int], list[int], list[tuple[int, int]]] | None:
+    """Match two forests vertex by vertex; None if their diffeo codes differ.
 
-    Returns (mapping, flips, edge_flips): a label bijection t1 -> t2, the
-    t2-labels whose child-edge signs must flip, and the (root, child)
-    t2-label pairs whose root edges must flip, so that relabeling t1 by
-    the mapping and applying the flips reproduces t2 exactly.  Roots pair
-    by root code and their children by subtree code alone; deeper children
-    pair by (code, sign), with t1's signs flipped where exactly one of the
-    two parents kept its flipped token list.
+    One diffeo pass per forest gives both the compared codes and the
+    matching.  Returns (mapping, flips, edge_flips): a label bijection
+    t1 -> t2, the t2-labels whose child-edge signs must flip, and the
+    (root, child) t2-label pairs whose root edges must flip, so that
+    relabeling t1 by the mapping and applying the flips reproduces t2
+    exactly.  Roots pair by root code and their children by subtree code
+    alone; deeper children pair by (code, sign), with t1's signs flipped
+    where exactly one of the two parents kept its flipped token list.
     """
     kids1, codes1, flipped1 = _bottom_up(t1, DIFFEO)
     kids2, codes2, flipped2 = _bottom_up(t2, DIFFEO)
+    if _forest_code(kids1, codes1) != _forest_code(kids2, codes2):
+        return None
     signs1, signs2 = t1.signs, t2.signs
     mapping: dict[int, int] = {}
     flips: list[int] = []

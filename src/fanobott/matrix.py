@@ -49,6 +49,14 @@ class InvalidPhiError(FanoBottError, ValueError):
 
 _INT_ONLY = frozenset({int})
 
+
+def _require_int(name: str, value: object) -> int:
+    """value itself if its type is int (bool is not); else a ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{name} = {value!r} is not an integer")
+    return value
+
+
 ROW_ZERO = "zero"
 ROW_UNIT = "unit"
 ROW_COPY = "copy"
@@ -178,7 +186,7 @@ def matrix_from_json(data: object) -> FanoBottMatrix:
         entries = data["entries"]
         if not isinstance(entries, list):
             raise ValueError('"entries" must be a list of rows')
-        if "dim" in data and int(data["dim"]) != len(entries):
+        if "dim" in data and _require_int("dim", data["dim"]) != len(entries):
             raise ValueError('"dim" does not match the number of rows')
     elif isinstance(data, list):
         entries = data

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Sequence, Union
 
-from fanobott.forest import DIFFEO, _match_forests, canonical_code, from_matrix
+from fanobott.forest import _match_forests, from_matrix
 from fanobott.matrix import (
     FanoBottError,
     FanoBottMatrix,
-    InvalidMatrixError,
+    PhiSigma,
+    _require_int,
     enumerate_matrices,
     to_phi_sigma,
     validate,
@@ -120,11 +120,12 @@ def step_from_json(data: object) -> OpStep:
         raise ValueError(f"a step must be a JSON object, not {type(data).__name__}")
     tag = data.get("op")
     if tag == "p":
-        return ConjugateStep(tuple(int(x) for x in data["perm"]))
+        return ConjugateStep(tuple(_require_int("perm entry", x) for x in data["perm"]))
     if tag == "2":
-        return ColumnFlipStep(int(data["k"]))
+        return ColumnFlipStep(_require_int("k", data["k"]))
     if tag == "3":
-        return RootEdgeFlipStep(int(data["k"]), int(data["l"]))
+        return RootEdgeFlipStep(_require_int("k", data["k"]),
+                                _require_int("l", data["l"]))
     raise ValueError(f"unknown step tag {tag!r}")
 
 
@@ -137,7 +138,7 @@ def witness_from_json(data: object) -> OpSequence:
 
 
 def _check_perm(perm: Sequence[int], d: int) -> tuple[int, ...]:
-    perm = tuple(int(x) for x in perm)
+    perm = tuple(_require_int("perm entry", x) for x in perm)
     if sorted(perm) != list(range(1, d + 1)):
         raise ValueError(f"{perm} is not a permutation of 1..{d}")
     return perm
@@ -255,10 +256,9 @@ def replay(a: FanoBottMatrix,
     return current
 
 
-def _valid_root_edge_pairs(a: FanoBottMatrix) -> list[tuple[int, int]]:
+def _valid_root_edge_pairs(ps: PhiSigma) -> list[tuple[int, int]]:
     """(k, l) pairs where the root-edge flip applies."""
-    ps = to_phi_sigma(a)
-    d = a.dim
+    d = ps.dim
     roots = [v for v in range(1, d + 1) if ps.phi[v - 1] == d + 1]
     pairs = []
     for l in roots:
@@ -268,21 +268,69 @@ def _valid_root_edge_pairs(a: FanoBottMatrix) -> list[tuple[int, int]]:
     return pairs
 
 
+def _admissible_perms(phi: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every perm with perm[v-1] < perm[phi(v)-1] for each non-root v.
+
+    These are the relabelings that keep each label below its parent's,
+    the linear extensions of the forest; there are d!/prod |subtree(v)| of
+    them.  They come in lexicographic order: vertices 1, 2, ..., d take
+    labels in turn, smallest first, each one above the labels of its
+    children (which have smaller numbers, so they are labeled already)
+    and leaving a larger free label for every proper ancestor.  A branch
+    can still run out of labels further down; the search then backs up.
+    """
+    d = len(phi)
+    if not d:
+        return [()]
+    kids: list[list[int]] = [[] for _ in range(d + 2)]
+    ancestors = [-1] * (d + 2)
+    for v in range(d, 0, -1):
+        kids[phi[v - 1]].append(v)
+        ancestors[v] = ancestors[phi[v - 1]] + 1
+    used = [False] * (d + 1)
+    perm: list[int] = []
+    out = []
+
+    def labels_for(v: int) -> list[int]:
+        """Candidate labels for vertex v, largest first."""
+        low = max([perm[c - 1] for c in kids[v]], default=0)
+        free = [x for x in range(d, low, -1) if not used[x]]
+        return free[ancestors[v]:]
+
+    stack = [labels_for(1)]
+    while stack:
+        labels = stack[-1]
+        if len(perm) == len(stack):  # undo this level's previous label
+            used[perm.pop()] = False
+        if not labels:
+            stack.pop()
+            continue
+        x = labels.pop()
+        perm.append(x)
+        used[x] = True
+        if len(perm) == d:
+            out.append(tuple(perm))
+        else:
+            stack.append(labels_for(len(perm) + 1))
+    return out
+
+
 def neighbors(a: FanoBottMatrix, *,
               use_root_edge_flips: bool = True) -> list[FanoBottMatrix]:
-    """All admissible matrices one move away from a."""
+    """All admissible matrices one move away from a.
+
+    The list holds the column flips at 1..d, then the root-edge flips
+    (when enabled), then the conjugates in lexicographic order of perm.
+    Only the relabelings that keep every label below its parent's are
+    conjugated, since every other permutation leaves the admissible set;
+    each conjugate is still validated, so a wrong relabeling raises.
+    """
     d = a.dim
-    out = []
-    for k in range(1, d + 1):
-        out.append(flip_column(a, k))
+    ps = to_phi_sigma(a)
+    out = [flip_column(a, k) for k in range(1, d + 1)]
     if use_root_edge_flips:
-        for k, l in _valid_root_edge_pairs(a):
-            out.append(flip_root_edge(a, k, l))
-    for perm in permutations(range(1, d + 1)):
-        try:
-            out.append(validate(conjugate(a, perm)))
-        except InvalidMatrixError:
-            continue
+        out.extend(flip_root_edge(a, k, l) for k, l in _valid_root_edge_pairs(ps))
+    out.extend(validate(conjugate(a, perm)) for perm in _admissible_perms(ps.phi))
     return out
 
 
@@ -291,7 +339,7 @@ def bfs_closure_classes(d: int, *,
                         ) -> list[list[FanoBottMatrix]]:
     """Connected components of the move graph on the whole enumeration.
 
-    This is ground truth for move reachability; intended for d <= 5.
+    This is ground truth for move reachability; intended for d <= 6.
     With use_root_edge_flips=False only relabelings and column flips are
     used, which characterizes isomorphism of the underlying varieties.
     Classes come in first-occurrence order of the enumeration stream and
@@ -338,10 +386,10 @@ def find_witness(a: FanoBottMatrix, a2: FanoBottMatrix) -> OpSequence | None:
     """
     if a.dim != a2.dim:
         raise DimensionMismatchError(f"sizes {a.dim} and {a2.dim} differ")
-    t1, t2 = from_matrix(a), from_matrix(a2)
-    if canonical_code(t1, DIFFEO) != canonical_code(t2, DIFFEO):
+    matched = _match_forests(from_matrix(a), from_matrix(a2))
+    if matched is None:
         return None
-    mapping, flips, edge_flips = _match_forests(t1, t2)
+    mapping, flips, edge_flips = matched
     d = a.dim
     perm = tuple(mapping[i] for i in range(1, d + 1))
     steps: list[OpStep] = []

@@ -254,6 +254,27 @@ class TestErrorPaths:
         assert (code, out) == (2, "")
         assert err == "error: parent(1) = 2.9 is not an integer\n"
 
+    @pytest.mark.parametrize("step, message", [
+        ('{"op":"2","k":1.7}', "k = 1.7"),
+        ('{"op":"2","k":true}', "k = True"),
+        ('{"op":"3","k":1,"l":2.0}', "l = 2.0"),
+        ('{"op":"p","perm":[1.0,2]}', "perm entry = 1.0"),
+    ], ids=["k-float", "k-bool", "l-float", "perm-float"])
+    def test_non_integer_step_field_is_an_input_error(self, capsys, step, message):
+        code, out, err = run(capsys, "certify", P2, P2, f'{{"steps":[{step}]}}')
+        assert (code, out) == (2, "")
+        assert err == f"error: {message} is not an integer\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("canon", "--inline", '{"size":2.9,"parents":[2,0],"signs":["+",""]}',
+          "--mode", "rooted"), "size = 2.9"),
+        (("validate", "--inline", '{"dim":true,"entries":[[0]]}'), "dim = True"),
+    ], ids=["size-float", "dim-bool"])
+    def test_non_integer_size_or_dim_is_an_input_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message} is not an integer\n"
+
     def test_deep_path_never_exits_1(self, capsys):
         n = 600
         t = make_forest(list(range(2, n + 1)) + [0], ["+"] * (n - 1) + [""])

@@ -188,6 +188,12 @@ class TestMakeForest:
             forest_from_json({"size": 2, "parents": [bad, 0], "signs": ["+", ""]})
         assert str(err.value) == f"parent(1) = {bad!r} is not an integer"
 
+    @pytest.mark.parametrize("bad", [2.0, 2.9, "2", True, None])
+    def test_rejects_non_integer_size(self, bad):
+        with pytest.raises(ValueError) as err:
+            forest_from_json({"size": bad, "parents": [2, 0], "signs": ["+", ""]})
+        assert str(err.value) == f"size = {bad!r} is not an integer"
+
 
 class TestRelabel:
     def test_identity_on_ordered_forest(self, tree5):

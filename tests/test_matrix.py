@@ -340,6 +340,12 @@ class TestJson:
         with pytest.raises(ValueError):
             matrix_from_json({"dim": 3, "entries": [[0, 1], [0, 0]]})
 
+    @pytest.mark.parametrize("bad", [2.0, 2.9, "2", True, None])
+    def test_rejects_non_integer_dim(self, bad):
+        with pytest.raises(ValueError) as err:
+            matrix_from_json({"dim": bad, "entries": [[0, 1], [0, 0]]})
+        assert str(err.value) == f"dim = {bad!r} is not an integer"
+
     def test_digest_is_stable(self, a6):
         again = validate(REFERENCE_6)
         assert a6.digest() == again.digest()

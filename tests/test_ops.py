@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import permutations
+from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -42,11 +44,14 @@ from fanobott import (
     relabel,
     relabel_topological,
     replay,
+    subtree_vertices,
     to_matrix,
     validate,
     witness_from_json,
 )
+from fanobott import forest as forest_module
 from fanobott.forest import _match_forests
+from fanobott.ops import neighbors
 from test_forest import (
     flip_children_at,
     flip_edges,
@@ -156,6 +161,18 @@ def diffeo_partners(draw, source):
     return t, other
 
 
+def reference_conjugates(m):
+    """Every one of the d! conjugations that validate accepts, in
+    lexicographic order of perm: the brute force neighbors replaced."""
+    out = []
+    for perm in permutations(range(1, m.dim + 1)):
+        try:
+            out.append(validate(conjugate(m, perm)))
+        except InvalidMatrixError:
+            pass
+    return out
+
+
 def valid_edge_flip_pairs(m):
     """(k, l) with row l zero and row k = +/- e_l."""
     t = from_matrix(m)
@@ -177,6 +194,39 @@ class TestConjugate:
     def test_rejects_non_permutation(self, a6):
         with pytest.raises(ValueError):
             conjugate(a6, (1, 1, 3, 4, 5, 6))
+
+    @pytest.mark.parametrize("bad", [1.0, True, "1"])
+    def test_rejects_non_integer_perm_entry(self, bad):
+        m = validate([[0, 1], [0, 0]])
+        with pytest.raises(ValueError) as err:
+            conjugate(m, (bad, 2))
+        assert str(err.value) == f"perm entry = {bad!r} is not an integer"
+        with pytest.raises(StepFailedError):
+            replay(m, [ConjugateStep((bad, 2))])
+
+
+class TestNeighbors:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_equals_brute_force_in_order(self, d):
+        for m in fb(d):
+            flips = [flip_column(m, k) for k in range(1, d + 1)]
+            edges = [flip_root_edge(m, k, l) for k, l in valid_edge_flip_pairs(m)]
+            conjugates = reference_conjugates(m)
+            assert neighbors(m) == flips + edges + conjugates
+            assert neighbors(m, use_root_edge_flips=False) == flips + conjugates
+
+    # the brute force costs about a second per 8-vertex tower
+    @settings(max_examples=12, deadline=None)
+    @given(forests(max_size=8))
+    @example(make_forest((3, 3, 8, 6, 6, 8, 8, 0),
+                         ("+", "-", "+", "-", "+", "+", "-", "")))
+    def test_conjugates_are_the_linear_extensions(self, t):
+        m = to_matrix(t)
+        conjugates = neighbors(m, use_root_edge_flips=False)[t.size:]
+        assert set(conjugates) == set(reference_conjugates(m))
+        # hook length formula for forests: d! / prod |subtree(v)|
+        sizes = prod(len(subtree_vertices(t, v)) for v in range(1, t.size + 1))
+        assert len(conjugates) == factorial(t.size) // sizes
 
 
 class TestColumnFlip:
@@ -331,6 +381,19 @@ class TestReplay:
         with pytest.raises(ValueError, match="must be a JSON object"):
             witness_from_json({"steps": [step]})
 
+    @pytest.mark.parametrize("step, field, bad", [
+        ({"op": "2", "k": 1.7}, "k", 1.7),
+        ({"op": "2", "k": True}, "k", True),
+        ({"op": "3", "k": "1", "l": 2}, "k", "1"),
+        ({"op": "3", "k": 1, "l": 2.0}, "l", 2.0),
+        ({"op": "p", "perm": [1.0, 3, 2]}, "perm entry", 1.0),
+        ({"op": "p", "perm": [1, None, 2]}, "perm entry", None),
+    ], ids=["k-float", "k-bool", "k-str", "l-float", "perm-float", "perm-none"])
+    def test_witness_rejects_non_integer_field(self, step, field, bad):
+        with pytest.raises(ValueError) as err:
+            witness_from_json({"steps": [step]})
+        assert str(err.value) == f"{field} = {bad!r} is not an integer"
+
 
 class TestBfsClosure:
     def test_single_point(self):
@@ -343,7 +406,7 @@ class TestBfsClosure:
         assert {((0, 0), (0, 0))} in as_rows
         assert {((0, 1), (0, 0)), ((0, -1), (0, 0))} in as_rows
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_matches_diffeo_codes(self, d):
         by_code = {}
         for m in fb(d):
@@ -351,8 +414,9 @@ class TestBfsClosure:
             by_code.setdefault(code, set()).add(m)
         bfs = {frozenset(cls) for cls in bfs_closure_classes(d)}
         assert bfs == {frozenset(v) for v in by_code.values()}
+        assert len(bfs) == {2: 2, 3: 4, 4: 10, 5: 25}[d]
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_relabel_and_column_flips_match_variety_codes(self, d):
         by_code = {}
         for m in fb(d):
@@ -361,6 +425,7 @@ class TestBfsClosure:
         bfs = {frozenset(cls)
                for cls in bfs_closure_classes(d, use_root_edge_flips=False)}
         assert bfs == {frozenset(v) for v in by_code.values()}
+        assert len(bfs) == {2: 2, 3: 5, 4: 13, 5: 37}[d]
 
 
 class TestFindWitness:
@@ -369,6 +434,22 @@ class TestFindWitness:
         assert sequence is not None
         assert sequence.steps == ()
         assert replay(a6, sequence) == a6
+
+    @pytest.mark.parametrize("equivalent", [True, False])
+    def test_one_bottom_up_pass_per_forest(self, monkeypatch, equivalent):
+        a, b = seven_vertex_pair()
+        if not equivalent:
+            b = validate([[0] * 7 for _ in range(7)])
+        modes = []
+        original = forest_module._bottom_up
+
+        def counting(t, mode):
+            modes.append(mode)
+            return original(t, mode)
+
+        monkeypatch.setattr(forest_module, "_bottom_up", counting)
+        assert (find_witness(a, b) is not None) == equivalent
+        assert modes == [DIFFEO, DIFFEO]
 
     def test_dimension_mismatch(self, a6):
         with pytest.raises(DimensionMismatchError):
