@@ -5,6 +5,11 @@ answer (rejected matrix, inequivalent inputs, failed certificate, oracle
 disagreement), 2 for usage or input errors and for any internal error,
 which is reported on stderr without a traceback.  Matrix arguments accept a
 file path or inline JSON (anything starting with "[" or "{").
+
+`classify` and `oracle` stream the enumeration through one process and
+keep one entry per canonical code, so their memory follows the number of
+classes rather than the (2d-1)!! matrices; nothing is printed before the
+stream ends, so an error leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -12,8 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from pathlib import Path
 
 from fanobott import fan, forest, ops
@@ -56,17 +59,6 @@ def _matrix_arg(args: argparse.Namespace) -> str:
     return args.file
 
 
-def _code_worker(mode: str, m: FanoBottMatrix) -> str:
-    return forest.canonical_code(forest.from_matrix(m), mode).code
-
-
-def _codes(mats: list[FanoBottMatrix], mode: str, jobs: int) -> list[str]:
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(partial(_code_worker, mode), mats, chunksize=32))
-    return [_code_worker(mode, m) for m in mats]
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
         m = _load_matrix(_matrix_arg(args))
@@ -87,10 +79,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    mats = list(enumerate_matrices(args.dim))
-    codes = _codes(mats, args.mode, args.jobs)
     representatives: dict[str, FanoBottMatrix] = {}
-    for m, code in zip(mats, codes):
+    for m in enumerate_matrices(args.dim):
+        code = forest.canonical_code(forest.from_matrix(m), args.mode).code
         representatives.setdefault(code, m)
     print(_compact({"classes": len(representatives),
                     "dim": args.dim, "mode": args.mode}))
@@ -144,8 +135,8 @@ def _cmd_sve(args: argparse.Namespace) -> int:
 
 
 def _cmd_peel(args: argparse.Namespace) -> int:
-    m = _load_matrix(_matrix_arg(args))
-    print(_compact(list(peel_signature(m))))
+    t = _load_forest(_matrix_arg(args))
+    print(_compact(list(peel_signature(t))))
     return 0
 
 
@@ -156,16 +147,12 @@ def _cmd_forest_dot(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    mats = list(enumerate_matrices(args.dim))
-    codes = _codes(mats, forest.DIFFEO, args.jobs)
-    by_code: dict[str, set[str]] = {}
-    for m, code in zip(mats, codes):
-        by_code.setdefault(code, set()).add(m.digest())
+    by_code: dict[str, set[FanoBottMatrix]] = {}
+    for m in enumerate_matrices(args.dim):
+        code = forest.canonical_code(forest.from_matrix(m), forest.DIFFEO).code
+        by_code.setdefault(code, set()).add(m)
     code_partition = {frozenset(v) for v in by_code.values()}
-    bfs_partition = {
-        frozenset(m.digest() for m in cls)
-        for cls in ops.bfs_closure_classes(args.dim)
-    }
+    bfs_partition = {frozenset(cls) for cls in ops.bfs_closure_classes(args.dim)}
     agree = code_partition == bfs_partition
     print(_compact({
         "agree": agree,
@@ -200,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("classify", help="count canonical classes with representatives")
     sub.add_argument("-d", "--dim", type=int, required=True)
     sub.add_argument("--mode", choices=forest.MODES, required=True)
-    sub.add_argument("--jobs", type=int, default=1)
     sub.set_defaults(func=_cmd_classify)
 
     sub = subs.add_parser("canon", help="canonical code of one matrix or forest")
@@ -239,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("oracle", help="cross-check move reachability against codes")
     sub.add_argument("-d", "--dim", type=int, required=True)
-    sub.add_argument("--jobs", type=int, default=1)
     sub.set_defaults(func=_cmd_oracle)
 
     return parser

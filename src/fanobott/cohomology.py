@@ -16,12 +16,14 @@ also exposes the mod-2 cut rank that separates broom sign patterns.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
-from fanobott.forest import from_matrix, leaf_cut, leaves
+from fanobott.forest import SignedRootedForest, _kids_and_order, from_matrix
 from fanobott.matrix import FanoBottError, FanoBottMatrix, validate
 
 
@@ -131,21 +133,13 @@ def enumerate_sve(a: FanoBottMatrix) -> SveInventory:
     return SveInventory(tuple(g), tuple(g_prime), tuple(h), len(g) + len(h))
 
 
-_CANDIDATE_CACHE: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-
-
+@functools.cache
 def _candidates(d: int, bound: int) -> tuple[tuple[int, ...], ...]:
     """Primitive vectors in [-bound, bound]^d with positive leading entry."""
-    key = (d, bound)
-    cached = _CANDIDATE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    grid = tuple(
+    return tuple(
         vec for vec in product(range(-bound, bound + 1), repeat=d)
         if next((x for x in vec if x), 0) > 0 and math.gcd(*vec) == 1
     )
-    _CANDIDATE_CACHE[key] = grid
-    return grid
 
 
 def sve_brute_force(a: FanoBottMatrix, bound: int = 2
@@ -184,16 +178,22 @@ def quotient_by_leaf(a: FanoBottMatrix, alpha: int) -> FanoBottMatrix:
     return validate(rows)
 
 
-def peel_signature(a: FanoBottMatrix) -> tuple[int, ...]:
-    """Leaf counts under repeated cutting of the whole current leaf set."""
-    t = from_matrix(a)
-    signature = []
-    while t.size:
-        current = leaves(t)
-        signature.append(len(current))
-        for v in sorted(current, reverse=True):
-            t = leaf_cut(t, v)
-    return tuple(signature)
+def peel_signature(a: FanoBottMatrix | SignedRootedForest) -> tuple[int, ...]:
+    """Leaf counts under repeated cutting of the whole current leaf set.
+
+    Round r cuts exactly the vertices of height r - 1 (0 for a leaf, else
+    one more than the highest child), so the signature is the histogram of
+    heights, taken in one pass from the leaves up.  A forest may be given
+    in place of its matrix.
+    """
+    t = a if isinstance(a, SignedRootedForest) else from_matrix(a)
+    kids, order = _kids_and_order(t.parents)
+    height = [0] * (t.size + 1)
+    for v in reversed(order):
+        if kids[v]:
+            height[v] = 1 + max(height[k] for k in kids[v])
+    counts = Counter(height[v] for v in order)
+    return tuple(counts[h] for h in range(len(counts)))
 
 
 def cut_rank_gf2(a: FanoBottMatrix, s: Iterable[int]) -> int:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -84,11 +85,18 @@ class TestClassify:
         second = run(capsys, "classify", "-d", "4", "--mode", "variety")
         assert first == second
 
-    def test_jobs_do_not_change_output(self, capsys):
-        sequential = run(capsys, "classify", "-d", "4", "--mode", "diffeo")
-        parallel = run(capsys, "classify", "-d", "4", "--mode", "diffeo",
-                       "--jobs", "2")
-        assert sequential == parallel
+    def test_memory_follows_the_classes(self, capsys):
+        # The enumeration is streamed: only one representative per class
+        # is held, never the 10,395 matrices of d = 6 or their codes.
+        tracemalloc.start()
+        try:
+            code = main(["classify", "-d", "6", "--mode", "diffeo"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[0])["classes"] == 71
+        assert peak < 2_000_000
 
 
 class TestCanonEquiv:
@@ -175,6 +183,15 @@ class TestReports:
         code, out, _ = run(capsys, "peel", "--inline", tree5)
         assert (code, out) == (0, "[2,2,1]\n")
 
+    @pytest.mark.parametrize("forest, signature", [
+        (path_forest(5000), [1] * 5000),
+        (make_forest([0] + [1] * 4999, [""] + ["+"] * 4999), [4999, 1]),
+    ], ids=["path", "star"])
+    def test_peel_deep_forests(self, capsys, forest, signature):
+        code, out, err = run(capsys, "peel", "--inline",
+                             json.dumps(forest.to_json()))
+        assert (code, json.loads(out), err) == (0, signature, "")
+
     def test_forest_dot_from_matrix(self, capsys):
         code, out, _ = run(capsys, "forest-dot", "--inline", P2)
         assert code == 0
@@ -201,8 +218,8 @@ class TestOracle:
         assert code == 0
         assert out == '{"agree":true,"bfs_classes":4,"code_classes":4,"dim":3}\n'
 
-    def test_d4_with_jobs(self, capsys):
-        code, out, _ = run(capsys, "oracle", "-d", "4", "--jobs", "2")
+    def test_d4(self, capsys):
+        code, out, _ = run(capsys, "oracle", "-d", "4")
         assert code == 0
         assert json.loads(out)["agree"] is True
 
@@ -289,6 +306,16 @@ class TestErrorPaths:
             main(["equiv", P2, P2_NEG])  # --mode missing
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "-d", "3", "--mode", "diffeo", "--jobs", "2"],
+        ["oracle", "-d", "3", "--jobs", "2"],
+    ], ids=["classify", "oracle"])
+    def test_jobs_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 def test_import_leaves_numpy_out():
     result = subprocess.run(
@@ -297,6 +324,16 @@ def test_import_leaves_numpy_out():
         capture_output=True, text=True,
     )
     assert (result.returncode, result.stdout) == (0, "False\n")
+
+
+def test_import_starts_no_process_pool_machinery():
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fanobott.cli; print(sorted(m for m in sys.modules"
+         " if m.startswith(('concurrent', 'multiprocessing'))))"],
+        capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stdout) == (0, "[]\n")
 
 
 def test_console_entry_point():

@@ -5,6 +5,8 @@ from __future__ import annotations
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import broom_pair, fb
 from fanobott import (
@@ -16,13 +18,16 @@ from fanobott import (
     is_sve,
     leaf_cut,
     leaves,
+    make_forest,
     peel_signature,
     quotient_by_leaf,
+    relabel,
     square_reduce,
     sve_brute_force,
     to_matrix,
     validate,
 )
+from test_forest import forests, path_forest
 
 
 class TestSquareReduce:
@@ -159,6 +164,17 @@ class TestQuotient:
             assert len(results) == 1
 
 
+def reference_peel_signature(t):
+    """Cut the whole leaf set round by round, rebuilding the forest per cut."""
+    signature = []
+    while t.size:
+        current = leaves(t)
+        signature.append(len(current))
+        for v in sorted(current, reverse=True):
+            t = leaf_cut(t, v)
+    return tuple(signature)
+
+
 class TestPeel:
     def test_product_of_lines(self):
         assert peel_signature(validate([[0] * 3 for _ in range(3)])) == (3,)
@@ -169,6 +185,19 @@ class TestPeel:
 
     def test_tree5(self, tree5):
         assert peel_signature(tree5) == (2, 2, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(forests(max_size=12), st.data())
+    def test_equals_leaf_cut_reference(self, t, data):
+        assert peel_signature(to_matrix(t)) == reference_peel_signature(t)
+        perm = tuple(data.draw(st.permutations(range(1, t.size + 1))))
+        relabeled = relabel(t, perm)
+        assert peel_signature(relabeled) == reference_peel_signature(relabeled)
+
+    def test_deep_path_and_star(self):
+        assert peel_signature(path_forest(5000)) == (1,) * 5000
+        star = make_forest([0] + [1] * 4999, [""] + ["+"] * 4999)
+        assert peel_signature(star) == (4999, 1)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_constant_on_reachability_classes(self, d):
