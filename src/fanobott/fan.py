@@ -7,12 +7,12 @@ the identity on top and -E + A below, each pair summing to the parent ray
 named by the leading entry of the row (or to zero at the roots).
 
 Two towers whose ray matrices agree row by row up to sign, with the
-antipodal pairing preserved, are diffeomorphic.  The certificate replays
-the relabel/column-flip prefix of a witness as unimodular column
-transformations (a column flip exchanges the two rays of its pair, so the
-pair's rows swap), then flips the subtrees hanging below the root edges
-whose signs still disagree via diagonal sign matrices, and finally checks
-the row-by-row sign match.
+antipodal pairing preserved, are diffeomorphic.  The certificate walks a
+witness once, applying its relabelings and column flips to the rays as
+unimodular column transformations (a column flip exchanges the two rays of
+its pair, so the pair's rows swap), then flips the subtrees hanging below
+the root edges whose signs still disagree via diagonal sign matrices, and
+finally checks the row-by-row sign match.
 """
 
 from __future__ import annotations
@@ -20,23 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from fanobott.forest import from_matrix, subtree_vertices
-from fanobott.matrix import FanoBottError, FanoBottMatrix, to_phi_sigma
+from fanobott.forest import _kids_and_order, from_matrix
+from fanobott.matrix import FanoBottError, FanoBottMatrix
 from fanobott.ops import (
     ColumnFlipStep,
     ConjugateStep,
     OpSequence,
+    RootEdgeFlipStep,
+    _replay_steps,
     apply_step,
-    replay,
 )
-
-
-class RelationCheckError(FanoBottError):
-    """A pair of antipodal rays fails its defining relation."""
-
-    def __init__(self, i: int):
-        self.i = i
-        super().__init__(f"ray pair {i} violates its primitive relation")
 
 
 class ShapeMismatchError(FanoBottError, ValueError):
@@ -67,42 +60,19 @@ class RayMatrix:
 
 
 def rays(a: FanoBottMatrix) -> RayMatrix:
-    """Ray matrix [E; -E + A], checked against the pair relations.
+    """Ray matrix [E; -E + A]: unit rows, then row i of A with entry i less 1.
 
-    For every i the sum of the two rays of pair i must equal the plus or
-    minus ray of the parent stage (zero at roots), matching the sign of
-    the leading entry of row i.
-
-    Raises:
-        RelationCheckError: never on a validated matrix; guards against
-            internal inconsistency.
+    The rays of pair i sum to row i of A, which is the plus or minus ray of
+    the parent stage by the sign of the leading entry, or zero at a root.
     """
     d = a.dim
-    top = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    bottom = [
-        tuple(a.rows[i][j] - (1 if j == i else 0) for j in range(d))
-        for i in range(d)
-    ]
-    ps = to_phi_sigma(a)
-    for i in range(d):
-        total = tuple(top[i][j] + bottom[i][j] for j in range(d))
-        target = ps.phi[i]
-        if target == d + 1:
-            expected = (0,) * d
-        elif ps.sigma[i] == "+":
-            expected = top[target - 1]
-        else:
-            expected = bottom[target - 1]
-        if total != expected:
-            raise RelationCheckError(i + 1)
+    top = [(0,) * i + (1,) + (0,) * (d - 1 - i) for i in range(d)]
+    bottom = []
+    for i, row in enumerate(a.rows):
+        row = list(row)
+        row[i] -= 1
+        bottom.append(tuple(row))
     return RayMatrix(tuple(top + bottom))
-
-
-def primitive_relation_degrees(a: FanoBottMatrix) -> tuple[int, ...]:
-    """Degree of each antipodal pair: 2 at roots, 1 elsewhere; all positive."""
-    d = a.dim
-    ps = to_phi_sigma(a)
-    return tuple(2 if ps.phi[i] == d + 1 else 1 for i in range(d))
 
 
 @dataclass(frozen=True)
@@ -188,54 +158,44 @@ def _permute_ray_rows(rows: list[list[int]], perm: tuple[int, ...],
     return out
 
 
-def _transform_rays(a: FanoBottMatrix, source: RayMatrix,
-                    steps) -> tuple[FanoBottMatrix, RayMatrix]:
-    """Replay relabelings and column flips on the matrix and its rays.
+def _move_rays(ray_rows: list[list[int]], a: FanoBottMatrix,
+               step: ConjugateStep | ColumnFlipStep) -> list[list[int]]:
+    """Apply a relabeling or a column flip of a to its rays.
 
-    source is the ray matrix of a.  Relabeling permutes the columns and,
-    blockwise, the rows.  A column flip at k right-multiplies by the
-    unimodular matrix with rows e_i off row k and -e_k + (row k) there.
-    That product is a column update, applied in place: a ray whose entry
-    x in column k is nonzero has that entry negated and gains x times
-    entry (k, j) in each column j where row k is nonzero, and every other
-    ray stays.  One flip thus costs O(d * nnz(row k)) rather than the
-    O(d^3) of the dense product.  The flip exchanges the two rays of pair
-    k, so the rows k and d+k swap to restore the pair order.  The literal
-    product is checked against the ray matrix of the replayed result, and
-    a disagreement raises CertificateError.
+    Relabeling permutes the columns and, blockwise, the rows.  A column
+    flip at k right-multiplies by the unimodular matrix with rows e_i off
+    row k and -e_k + (row k of a) there.  That product is a column update,
+    applied in place: a ray whose entry x in column k is nonzero has that
+    entry negated and gains x times entry (k, j) in each column j where
+    row k is nonzero, and every other ray stays.  One flip thus costs
+    O(d * nnz(row k)) rather than the O(d^3) of the dense product.  The
+    flip exchanges the two rays of pair k, so the rows k and d+k swap to
+    restore the pair order.
     """
     d = a.dim
-    current = a
-    ray_rows = [list(r) for r in source.rows]
-    for step in steps:
-        if isinstance(step, ConjugateStep):
-            ray_rows = _permute_ray_rows(ray_rows, step.perm, d)
-        elif isinstance(step, ColumnFlipStep):
-            k0 = step.k - 1
-            support = [(j0, v) for j0, v in enumerate(current.rows[k0]) if v]
-            for row in ray_rows:
-                x = row[k0]
-                if x:
-                    row[k0] = -x
-                    for j0, v in support:
-                        row[j0] += x * v
-            ray_rows[k0], ray_rows[d + k0] = ray_rows[d + k0], ray_rows[k0]
-        else:
-            raise TypeError(f"not a ray transformation: {step!r}")
-        current = apply_step(current, step)
-    expected = rays(current)
-    if tuple(tuple(r) for r in ray_rows) != expected.rows:
-        raise CertificateError("unimodular replay diverged from the ray matrix")
-    return current, expected
+    if isinstance(step, ConjugateStep):
+        return _permute_ray_rows(ray_rows, step.perm, d)
+    k0 = step.k - 1
+    support = [(j0, v) for j0, v in enumerate(a.rows[k0]) if v]
+    for row in ray_rows:
+        x = row[k0]
+        if x:
+            row[k0] = -x
+            for j0, v in support:
+                row[j0] += x * v
+    ray_rows[k0], ray_rows[d + k0] = ray_rows[d + k0], ray_rows[k0]
+    return ray_rows
 
 
 def certify_diffeo(a: FanoBottMatrix, a2: FanoBottMatrix,
                    witness: OpSequence) -> Certificate:
     """Verify a witness end to end and return the transcript.
 
-    The witness is replayed to confirm it reaches the target.  Its
-    relabel/column-flip prefix is applied to the ray matrix of the source;
-    the remaining disagreement with the target must sit on root-adjacent
+    The witness is replayed once, each step validated once, and must reach
+    the target.  Along the way its relabelings and column flips are
+    applied to the ray matrix of the source, and the result is checked
+    against the ray matrix of the matrix those steps alone reach.  The
+    remaining disagreement with the target must sit on root-adjacent
     edges, and for each such edge the diagonal sign matrix supported on
     the child's subtree is applied.  The final matrices must agree row by
     row up to sign.
@@ -243,21 +203,26 @@ def certify_diffeo(a: FanoBottMatrix, a2: FanoBottMatrix,
     Raises:
         CertificateError: with the first failing row or the failing stage.
     """
+    m_source = rays(a)
+    ray_rows = [list(r) for r in m_source.rows]
+    # prefix: the matrix reached by the relabelings and column flips alone;
+    # it is the replayed matrix itself until a root-edge flip intervenes
+    reached = prefix = a
     try:
-        reached = replay(a, witness)
+        for step, before, reached in _replay_steps(a, witness):
+            if isinstance(step, RootEdgeFlipStep):
+                continue
+            ray_rows = _move_rays(ray_rows, prefix, step)
+            prefix = reached if prefix is before else apply_step(prefix, step)
     except FanoBottError as exc:
         raise CertificateError(f"witness replay failed: {exc}") from exc
     if reached != a2:
         raise CertificateError("witness does not reach the target matrix")
+    m_transformed = rays(prefix)
+    if tuple(map(tuple, ray_rows)) != m_transformed.rows:
+        raise CertificateError("unimodular replay diverged from the ray matrix")
 
-    prefix = [
-        step for step in witness.steps
-        if isinstance(step, (ConjugateStep, ColumnFlipStep))
-    ]
-    m_source = rays(a)
-    transformed, m_transformed = _transform_rays(a, m_source, prefix)
-
-    t_pre = from_matrix(transformed)
+    t_pre = from_matrix(prefix)
     t_target = from_matrix(a2)
     if t_pre.parents != t_target.parents:
         raise CertificateError("forest shapes disagree after the prefix")
@@ -272,18 +237,22 @@ def certify_diffeo(a: FanoBottMatrix, a2: FanoBottMatrix,
             flipped_children.append(v)
 
     d = a.dim
+    kids = _kids_and_order(t_pre.parents)[0]
     diagonals = []
-    final_rows = [list(r) for r in m_transformed.rows]
     for child in flipped_children:
-        support = subtree_vertices(t_pre, child)
-        diag = tuple(-1 if v in support else 1 for v in range(1, d + 1))
-        diagonals.append(diag)
-        for row in final_rows:
-            for j0 in range(d):
-                row[j0] *= diag[j0]
+        subtree = [child]
+        for v in subtree:  # the loop also visits the descendants appended here
+            subtree.extend(kids[v])
+        diag = [1] * d
+        for v in subtree:
+            diag[v - 1] = -1
+        diagonals.append(tuple(diag))
+        for row in ray_rows:
+            for v in subtree:
+                row[v - 1] = -row[v - 1]
 
     m_target = rays(a2)
-    report = rows_match_up_to_sign(final_rows, m_target)
+    report = rows_match_up_to_sign(ray_rows, m_target)
     if not report.matches:
         raise CertificateError("transformed rays do not match the target",
                                row=report.first_mismatch)

@@ -161,18 +161,6 @@ def leaves(t: SignedRootedForest) -> tuple[int, ...]:
     return tuple(v for v in range(1, t.size + 1) if not kids[v])
 
 
-def subtree_vertices(t: SignedRootedForest, v: int) -> frozenset[int]:
-    """v together with all of its descendants."""
-    kids = children_map(t)
-    out = set()
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        out.add(u)
-        stack.extend(kids[u])
-    return frozenset(out)
-
-
 def from_matrix(a: FanoBottMatrix) -> SignedRootedForest:
     """Forest with parent(i) = phi(i) where phi(i) <= d, roots elsewhere."""
     ps = to_phi_sigma(a)
@@ -197,39 +185,6 @@ def to_matrix(t: SignedRootedForest) -> FanoBottMatrix:
     phi = tuple(p if p != 0 else d + 1 for p in t.parents)
     sigma = tuple(s if s != "" else None for s in t.signs)
     return from_phi_sigma(PhiSigma(phi, sigma))
-
-
-def relabel_topological(
-    t: SignedRootedForest,
-) -> tuple[SignedRootedForest, tuple[int, ...]]:
-    """Relabel so that every parent label exceeds all its children's.
-
-    Vertices become eligible once all their children are relabeled, and the
-    eligible vertex with the smallest original label goes next; an input
-    that already satisfies the order comes back unchanged with the identity
-    permutation.  Returns (forest, pi) with pi[i-1] the new label of the
-    original vertex i.
-    """
-    import heapq
-
-    d = t.size
-    kids = children_map(t)
-    pending = {v: len(kids[v]) for v in range(1, d + 1)}
-    heap = [v for v in range(1, d + 1) if pending[v] == 0]
-    heapq.heapify(heap)
-    pi = [0] * d
-    next_label = 0
-    while heap:
-        v = heapq.heappop(heap)
-        next_label += 1
-        pi[v - 1] = next_label
-        p = t.parents[v - 1]
-        if p != 0:
-            pending[p] -= 1
-            if pending[p] == 0:
-                heapq.heappush(heap, p)
-    perm = tuple(pi)
-    return relabel(t, perm), perm
 
 
 def relabel(t: SignedRootedForest, pi: tuple[int, ...]) -> SignedRootedForest:

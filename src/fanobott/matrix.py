@@ -8,8 +8,8 @@ integer matrix with entries in {-1, 0, 1} in which every row p is one of
   (3) (row q) - e_q for some column q > p.
 
 This module owns validation against these row templates, the row
-classification, the bijection with parent/sign data, exhaustive
-enumeration, and direct sums.  Row and column labels are 1-based in every
+classification, the bijection with parent/sign data, and exhaustive
+enumeration.  Row and column labels are 1-based in every
 public interface; the stored row tuples are ordinary 0-based sequences.
 """
 
@@ -197,13 +197,6 @@ def matrix_from_json(data: object) -> FanoBottMatrix:
     return validate(entries)
 
 
-def row_structure(a: FanoBottMatrix, p: int) -> RowStructure:
-    """Classify row p (1-based) of a validated matrix."""
-    if not 1 <= p <= a.dim:
-        raise ValueError(f"row {p} out of range 1..{a.dim}")
-    return _classify_row(a.rows, p - 1)
-
-
 @dataclass(frozen=True)
 class PhiSigma:
     """Parent map and edge signs read off the leading entries of the rows.
@@ -323,10 +316,3 @@ def count_matrices(d: int) -> int:
         total *= 2 * (d - p) + 1
     return total
 
-
-def direct_sum(a: FanoBottMatrix, b: FanoBottMatrix) -> FanoBottMatrix:
-    """Block-diagonal sum; the forest is the disjoint union with b shifted."""
-    da, db = a.dim, b.dim
-    rows = [row + (0,) * db for row in a.rows]
-    rows += [(0,) * da + row for row in b.rows]
-    return FanoBottMatrix(tuple(rows))

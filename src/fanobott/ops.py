@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from fanobott.forest import _match_forests, from_matrix
 from fanobott.matrix import (
@@ -115,26 +115,39 @@ def step_to_json(step: OpStep) -> dict:
     raise TypeError(f"not a step: {step!r}")
 
 
+def _step_field(data: dict, name: str) -> object:
+    if name not in data:
+        raise ValueError(f"step {data['op']!r} is missing {name!r}")
+    return data[name]
+
+
 def step_from_json(data: object) -> OpStep:
     if not isinstance(data, dict):
         raise ValueError(f"a step must be a JSON object, not {type(data).__name__}")
     tag = data.get("op")
     if tag == "p":
-        return ConjugateStep(tuple(_require_int("perm entry", x) for x in data["perm"]))
+        perm = _step_field(data, "perm")
+        return ConjugateStep(tuple(_require_int("perm entry", x) for x in perm))
     if tag == "2":
-        return ColumnFlipStep(_require_int("k", data["k"]))
+        return ColumnFlipStep(_require_int("k", _step_field(data, "k")))
     if tag == "3":
-        return RootEdgeFlipStep(_require_int("k", data["k"]),
-                                _require_int("l", data["l"]))
+        return RootEdgeFlipStep(_require_int("k", _step_field(data, "k")),
+                                _require_int("l", _step_field(data, "l")))
     raise ValueError(f"unknown step tag {tag!r}")
 
 
 def witness_from_json(data: object) -> OpSequence:
     if not isinstance(data, dict) or "steps" not in data:
         raise ValueError('witness object must carry "steps"')
-    steps = tuple(step_from_json(s) for s in data["steps"])
-    return OpSequence(steps, str(data.get("source_sha", "")),
-                      str(data.get("target_sha", "")))
+    if not isinstance(data["steps"], list):
+        raise ValueError('"steps" must be a list')
+    shas = []
+    for key in ("source_sha", "target_sha"):
+        sha = data.get(key, "")
+        if not isinstance(sha, str):
+            raise ValueError(f"{key} = {sha!r} is not a string")
+        shas.append(sha)
+    return OpSequence(tuple(step_from_json(s) for s in data["steps"]), *shas)
 
 
 def _check_perm(perm: Sequence[int], d: int) -> tuple[int, ...]:
@@ -232,6 +245,30 @@ def apply_step(a: FanoBottMatrix, step: OpStep) -> FanoBottMatrix:
     raise TypeError(f"not a step: {step!r}")
 
 
+def _replay_steps(a: FanoBottMatrix, steps: OpSequence | Iterable[OpStep]
+                  ) -> Iterator[tuple[OpStep, FanoBottMatrix, FanoBottMatrix]]:
+    """Yield (step, before, after) for each step, as :func:`replay` checks it.
+
+    The source digest is checked before the first step and the target
+    digest after the last one, so a caller that consumes the whole stream
+    has had every check of :func:`replay`.
+    """
+    sequence = steps if isinstance(steps, OpSequence) else None
+    step_list = list(sequence.steps if sequence else steps)
+    if sequence and sequence.source_sha and sequence.source_sha != a.digest():
+        raise StepFailedError(-1, "source digest does not match the matrix")
+    current = a
+    for index, step in enumerate(step_list):
+        try:
+            after = apply_step(current, step)
+        except (FanoBottError, ValueError) as exc:
+            raise StepFailedError(index, str(exc)) from exc
+        yield step, current, after
+        current = after
+    if sequence and sequence.target_sha and sequence.target_sha != current.digest():
+        raise StepFailedError(len(step_list), "target digest does not match the result")
+
+
 def replay(a: FanoBottMatrix,
            steps: OpSequence | Iterable[OpStep]) -> FanoBottMatrix:
     """Apply steps in order; every intermediate matrix must be admissible.
@@ -241,18 +278,9 @@ def replay(a: FanoBottMatrix,
     Raises:
         StepFailedError: with the failing step index and the reason.
     """
-    sequence = steps if isinstance(steps, OpSequence) else None
-    step_list = list(sequence.steps if sequence else steps)
-    if sequence and sequence.source_sha and sequence.source_sha != a.digest():
-        raise StepFailedError(-1, "source digest does not match the matrix")
     current = a
-    for index, step in enumerate(step_list):
-        try:
-            current = apply_step(current, step)
-        except (FanoBottError, ValueError) as exc:
-            raise StepFailedError(index, str(exc)) from exc
-    if sequence and sequence.target_sha and sequence.target_sha != current.digest():
-        raise StepFailedError(len(step_list), "target digest does not match the result")
+    for _, _, current in _replay_steps(a, steps):
+        pass
     return current
 
 

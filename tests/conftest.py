@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import heapq
+
 import pytest
 
 from fanobott import (
+    children_map,
     enumerate_matrices,
     make_forest,
+    relabel,
     to_matrix,
     validate,
 )
@@ -146,3 +150,44 @@ def fb(d: int) -> list:
     if d not in _FB_CACHE:
         _FB_CACHE[d] = list(enumerate_matrices(d))
     return _FB_CACHE[d]
+
+
+def subtree_vertices(t, v: int) -> frozenset[int]:
+    """v together with all of its descendants."""
+    kids = children_map(t)
+    out = set()
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        out.add(u)
+        stack.extend(kids[u])
+    return frozenset(out)
+
+
+def relabel_topological(t):
+    """Relabel so that every parent label exceeds all its children's.
+
+    Vertices become eligible once all their children are relabeled, and the
+    eligible vertex with the smallest original label goes next; an input
+    that already satisfies the order comes back unchanged with the identity
+    permutation.  Returns (forest, pi) with pi[i-1] the new label of the
+    original vertex i.
+    """
+    d = t.size
+    kids = children_map(t)
+    pending = {v: len(kids[v]) for v in range(1, d + 1)}
+    heap = [v for v in range(1, d + 1) if pending[v] == 0]
+    heapq.heapify(heap)
+    pi = [0] * d
+    next_label = 0
+    while heap:
+        v = heapq.heappop(heap)
+        next_label += 1
+        pi[v - 1] = next_label
+        p = t.parents[v - 1]
+        if p != 0:
+            pending[p] -= 1
+            if pending[p] == 0:
+                heapq.heappush(heap, p)
+    perm = tuple(pi)
+    return relabel(t, perm), perm

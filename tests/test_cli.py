@@ -9,14 +9,13 @@ import tracemalloc
 
 import pytest
 
-from conftest import REFERENCE_6, seven_vertex_pair
+from conftest import REFERENCE_6, relabel_topological, seven_vertex_pair
 from fanobott import (
     DIFFEO,
     MODES,
     canonical_code,
     leaf_cut,
     make_forest,
-    relabel_topological,
 )
 from fanobott.cli import main
 from test_forest import caterpillar_forest, path_forest
@@ -281,6 +280,24 @@ class TestErrorPaths:
         code, out, err = run(capsys, "certify", P2, P2, f'{{"steps":[{step}]}}')
         assert (code, out) == (2, "")
         assert err == f"error: {message} is not an integer\n"
+
+    @pytest.mark.parametrize("witness, message", [
+        ('{"steps":[{"op":"3","k":1,"l":2}],"source_sha":5}',
+         "source_sha = 5 is not a string"),
+        ('{"steps":[{"op":"3","k":1,"l":2}],"source_sha":null}',
+         "source_sha = None is not a string"),
+        ('{"steps":[{"op":"3","k":1,"l":2}],"target_sha":["x"]}',
+         "target_sha = ['x'] is not a string"),
+        ('{"steps":5}', '"steps" must be a list'),
+        ('{"steps":[{"op":"p"}]}', "step 'p' is missing 'perm'"),
+        ('{"steps":[{"op":"2","l":1}]}', "step '2' is missing 'k'"),
+        ('{"steps":[{"op":"3","k":1}]}', "step '3' is missing 'l'"),
+    ], ids=["sha-int", "sha-null", "sha-list", "steps-int", "no-perm", "no-k",
+            "no-l"])
+    def test_malformed_witness_is_an_input_error(self, capsys, witness, message):
+        code, out, err = run(capsys, "certify", P2, P2_NEG, witness)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv, message", [
         (("canon", "--inline", '{"size":2.9,"parents":[2,0],"signs":["+",""]}',

@@ -1,4 +1,4 @@
-"""Ray matrices, relation degrees, sign matching, certificates."""
+"""Ray matrices, pair relations, sign matching, certificates."""
 
 from __future__ import annotations
 
@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fb, seven_vertex_pair
+from conftest import fb, seven_vertex_pair, subtree_vertices
 from fanobott import (
     DIFFEO,
+    Certificate,
     CertificateError,
     ColumnFlipStep,
     ConjugateStep,
+    FanoBottError,
     OpSequence,
     RootEdgeFlipStep,
     ShapeMismatchError,
@@ -26,14 +28,14 @@ from fanobott import (
     from_matrix,
     from_phi_sigma,
     phi_sigma,
-    primitive_relation_degrees,
     rays,
     replay,
     rows_match_up_to_sign,
     to_phi_sigma,
     validate,
 )
-from fanobott.fan import _transform_rays
+from fanobott import ops
+from fanobott.fan import RayMatrix
 from fanobott.ops import apply_step
 
 
@@ -53,6 +55,122 @@ def laplace_det(rows):
     return total
 
 
+def reference_rays(a):
+    """[E; -E + A] entry by entry."""
+    d = a.dim
+    top = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
+    bottom = [
+        tuple(a.rows[i][j] - (1 if j == i else 0) for j in range(d))
+        for i in range(d)
+    ]
+    return RayMatrix(tuple(top + bottom))
+
+
+def reference_transform_rays(a, source, steps):
+    """The relabel/column-flip prefix applied again, step by step.
+
+    Relabeling permutes the columns and, blockwise, the rows; a column flip
+    at k is the in-place column update followed by the swap of rays k and
+    d+k.  The literal product must equal the ray matrix of the result.
+    """
+    d = a.dim
+    current = a
+    ray_rows = [list(r) for r in source.rows]
+    for step in steps:
+        if isinstance(step, ConjugateStep):
+            out = [[0] * d for _ in range(2 * d)]
+            for i0 in range(d):
+                for j0 in range(d):
+                    out[step.perm[i0] - 1][step.perm[j0] - 1] = ray_rows[i0][j0]
+                    out[d + step.perm[i0] - 1][step.perm[j0] - 1] = \
+                        ray_rows[d + i0][j0]
+            ray_rows = out
+        else:
+            k0 = step.k - 1
+            support = [(j0, v) for j0, v in enumerate(current.rows[k0]) if v]
+            for row in ray_rows:
+                x = row[k0]
+                if x:
+                    row[k0] = -x
+                    for j0, v in support:
+                        row[j0] += x * v
+            ray_rows[k0], ray_rows[d + k0] = ray_rows[d + k0], ray_rows[k0]
+        current = apply_step(current, step)
+    expected = reference_rays(current)
+    if tuple(tuple(r) for r in ray_rows) != expected.rows:
+        raise CertificateError("unimodular replay diverged from the ray matrix")
+    return current, expected
+
+
+def reference_certify(a, a2, witness):
+    """The three-pass certificate the single witness walk replaced.
+
+    replay checks the witness, the relabel/column-flip prefix is applied a
+    second time to the matrix and its rays, and each flipped child's
+    subtree is collected on its own.
+    """
+    try:
+        reached = replay(a, witness)
+    except FanoBottError as exc:
+        raise CertificateError(f"witness replay failed: {exc}") from exc
+    if reached != a2:
+        raise CertificateError("witness does not reach the target matrix")
+
+    prefix = [
+        step for step in witness.steps
+        if isinstance(step, (ConjugateStep, ColumnFlipStep))
+    ]
+    m_source = reference_rays(a)
+    transformed, m_transformed = reference_transform_rays(a, m_source, prefix)
+
+    t_pre = from_matrix(transformed)
+    t_target = from_matrix(a2)
+    if t_pre.parents != t_target.parents:
+        raise CertificateError("forest shapes disagree after the prefix")
+    roots = set(t_pre.roots())
+    flipped_children = []
+    for v in range(1, t_pre.size + 1):
+        if t_pre.signs[v - 1] != t_target.signs[v - 1]:
+            if t_pre.parents[v - 1] not in roots:
+                raise CertificateError(
+                    f"sign of the non-root-adjacent edge at vertex {v} disagrees"
+                )
+            flipped_children.append(v)
+
+    d = a.dim
+    diagonals = []
+    final_rows = [list(r) for r in m_transformed.rows]
+    for child in flipped_children:
+        support = subtree_vertices(t_pre, child)
+        diag = tuple(-1 if v in support else 1 for v in range(1, d + 1))
+        diagonals.append(diag)
+        for row in final_rows:
+            for j0 in range(d):
+                row[j0] *= diag[j0]
+
+    m_target = reference_rays(a2)
+    report = rows_match_up_to_sign(final_rows, m_target)
+    if not report.matches:
+        raise CertificateError("transformed rays do not match the target",
+                               row=report.first_mismatch)
+    return Certificate(
+        witness=witness,
+        m_source=m_source,
+        m_transformed=m_transformed,
+        m_target=m_target,
+        flip_diagonals=tuple(diagonals),
+        row_signs=report.signs,
+    )
+
+
+def outcome(certify, a, a2, witness):
+    """The certificate JSON, or the CertificateError message."""
+    try:
+        return certify(a, a2, witness).to_json()
+    except CertificateError as exc:
+        return f"CertificateError: {exc}"
+
+
 def dense_transform_rays(a, steps):
     """Reference replay: every column flip is the literal dense product.
 
@@ -63,7 +181,7 @@ def dense_transform_rays(a, steps):
     """
     d = a.dim
     current = a
-    ray_rows = [list(r) for r in rays(a).rows]
+    ray_rows = [list(r) for r in reference_rays(a).rows]
     for step in steps:
         if isinstance(step, ConjugateStep):
             out = [[0] * d for _ in range(2 * d)]
@@ -121,6 +239,14 @@ def admissible_relabeling(draw_int, a):
     return tuple(perm)
 
 
+def root_edges(a):
+    """(k, l) for every child k of a root l."""
+    d = a.dim
+    phi = to_phi_sigma(a).phi
+    return [(k, phi[k - 1]) for k in range(1, d + 1)
+            if phi[k - 1] <= d and phi[phi[k - 1] - 1] == d + 1]
+
+
 class TestRays:
     def test_two_lines(self):
         m = rays(validate([[0, 0], [0, 0]]))
@@ -139,17 +265,27 @@ class TestRays:
             (0, 0, 0, 0, 0, 0, -1),
         )
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_rows_primitive_and_pairs_sum_to_parents(self, d):
         for m in fb(d):
-            ray = rays(m)  # raises RelationCheckError on violation
+            ray = rays(m)
+            assert ray == reference_rays(m)
             for row in ray.rows:
                 assert math.gcd(*(abs(v) for v in row)) == 1
+            ps = to_phi_sigma(m)
             for i in range(d):
                 pair_sum = tuple(
                     ray.rows[i][j] + ray.rows[d + i][j] for j in range(d)
                 )
                 assert pair_sum == m.rows[i]
+                # the parent's plus or minus ray by the sign, zero at a root
+                parent = ps.phi[i]
+                if parent == d + 1:
+                    assert pair_sum == (0,) * d
+                elif ps.sigma[i] == "+":
+                    assert pair_sum == ray.rows[parent - 1]
+                else:
+                    assert pair_sum == ray.rows[d + parent - 1]
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_half_determinants_unimodular(self, d):
@@ -163,21 +299,6 @@ class TestRays:
             bottom = [list(r) for r in ray.rows[d:]]
             assert laplace_det(top) in (1, -1)
             assert laplace_det(bottom) in (1, -1)
-
-
-class TestDegrees:
-    def test_product_of_lines(self):
-        assert primitive_relation_degrees(
-            validate([[0] * 3 for _ in range(3)])) == (2, 2, 2)
-
-    def test_tree5(self, tree5):
-        assert primitive_relation_degrees(tree5) == (1, 1, 1, 1, 2)
-
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
-    def test_always_positive(self, d):
-        for m in fb(d):
-            degrees = primitive_relation_degrees(m)
-            assert all(v in (1, 2) for v in degrees)
 
 
 class TestRowMatching:
@@ -298,9 +419,9 @@ class TestColumnUpdate:
             steps.append(step)
             current = apply_step(current, step)
         reached, expected = dense_transform_rays(a, steps)
-        transformed, m_transformed = _transform_rays(a, rays(a), steps)
-        assert transformed == reached == current
-        assert m_transformed.rows == expected
+        assert reached == current
+        witness = OpSequence(tuple(steps), a.digest(), current.digest())
+        assert certify_diffeo(a, current, witness).m_transformed.rows == expected
 
     def test_certifies_d128_pair_built_from_moves(self):
         rng = random.Random(128)
@@ -314,10 +435,7 @@ class TestColumnUpdate:
             steps.append(ColumnFlipStep(k))
             current = apply_step(current, steps[-1])
         prefix = list(steps)
-        phi = to_phi_sigma(current).phi
-        root_edges = [(k, phi[k - 1]) for k in range(1, d + 1)
-                      if phi[k - 1] <= d and phi[phi[k - 1] - 1] == d + 1]
-        for k, l in rng.sample(root_edges, 2):
+        for k, l in rng.sample(root_edges(current), 2):
             steps.append(RootEdgeFlipStep(k, l))
             current = apply_step(current, steps[-1])
         b = current
@@ -335,3 +453,71 @@ class TestColumnUpdate:
         report = rows_match_up_to_sign(final, rays(b))
         assert report.matches
         assert certificate.row_signs == report.signs
+
+
+class TestSinglePass:
+    """certify_diffeo walks the witness once; the three-pass path is the oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_three_pass_reference(self, data):
+        def draw_int(lo, hi):
+            return data.draw(st.integers(min_value=lo, max_value=hi))
+
+        d = draw_int(1, 12)
+        a = random_tower(draw_int, d)
+        steps, current = [], a
+        for _ in range(draw_int(0, 6)):
+            kind = draw_int(0, 2)
+            if kind == 0:
+                step = ConjugateStep(admissible_relabeling(draw_int, current))
+            elif kind == 1:
+                step = ColumnFlipStep(draw_int(1, d))
+            else:
+                edges = root_edges(current)
+                if not edges:
+                    continue
+                step = RootEdgeFlipStep(*edges[draw_int(0, len(edges) - 1)])
+            steps.append(step)
+            current = apply_step(current, step)
+        target, source_sha, target_sha = current, a.digest(), current.digest()
+        variant = draw_int(0, 3)
+        if variant == 1:  # wrong target
+            target = random_tower(draw_int, d)
+        elif variant == 2:  # tampered digest
+            if draw_int(0, 1):
+                source_sha = "0" * 64
+            else:
+                target_sha = "0" * 64
+        elif variant == 3:  # a step that cannot be applied
+            steps.insert(draw_int(0, len(steps)), ColumnFlipStep(d + 1))
+        witness = OpSequence(tuple(steps), source_sha, target_sha)
+        expected = outcome(reference_certify, a, target, witness)
+        assert outcome(certify_diffeo, a, target, witness) == expected
+        if variant == 0:
+            assert not isinstance(expected, str)
+
+    def test_root_edge_flip_before_the_prefix(self):
+        a, b = seven_vertex_pair()
+        witness = OpSequence(
+            (RootEdgeFlipStep(6, 7), ConjugateStep((2, 1, 3, 4, 5, 6, 7)),
+             ColumnFlipStep(6)),
+            a.digest(), b.digest(),
+        )
+        certificate = certify_diffeo(a, b, witness)
+        assert certificate.to_json() == reference_certify(a, b, witness).to_json()
+        assert certificate.flip_diagonals == ((1, 1, 1, -1, -1, -1, 1),)
+
+    def test_validates_once_per_step(self, monkeypatch):
+        a, b = seven_vertex_pair()
+        witness = find_witness(a, b)
+        calls = []
+
+        def counting_validate(grid):
+            calls.append(grid)
+            return validate(grid)
+
+        monkeypatch.setattr(ops, "validate", counting_validate)
+        certify_diffeo(a, b, witness)
+        assert len(witness.steps) == 3
+        assert len(calls) == 3

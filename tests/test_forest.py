@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fb, seven_vertex_pair, star_trio
+from conftest import fb, relabel_topological, seven_vertex_pair, star_trio
 from fanobott import (
     DIFFEO,
     MODES,
@@ -24,7 +24,6 @@ from fanobott import (
     leaves,
     make_forest,
     relabel,
-    relabel_topological,
     render_dot,
     to_matrix,
     validate,

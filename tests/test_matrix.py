@@ -10,20 +10,19 @@ from hypothesis import strategies as st
 
 from conftest import FOREST_5, REFERENCE_6, TREE_5, fb
 from fanobott import (
+    FanoBottMatrix,
     InvalidMatrixError,
     InvalidPhiError,
     PhiSigma,
-    RowStructure,
     count_matrices,
-    direct_sum,
     enumerate_matrices,
     from_phi_sigma,
     matrix_from_json,
     phi_sigma,
-    row_structure,
     to_phi_sigma,
     validate,
 )
+from fanobott.matrix import RowStructure, _classify_row
 
 
 def all_upper_triangular_grids(d):
@@ -34,6 +33,14 @@ def all_upper_triangular_grids(d):
         for (i, j), v in zip(slots, values):
             grid[i][j] = v
         yield grid
+
+
+def direct_sum(a, b):
+    """Block-diagonal sum; the forest is the disjoint union with b shifted."""
+    da, db = a.dim, b.dim
+    rows = [row + (0,) * db for row in a.rows]
+    rows += [(0,) * da + row for row in b.rows]
+    return FanoBottMatrix(tuple(rows))
 
 
 def row_is_admissible(rows, p):
@@ -192,19 +199,20 @@ class TestValidate:
 
 
 class TestRowStructure:
+    """The row classifier behind validate and to_phi_sigma (0-based rows)."""
+
     def test_reference_rows(self, a6):
-        assert row_structure(a6, 1) == row_structure(a6, 1)
-        assert (row_structure(a6, 1).kind, row_structure(a6, 1).q) == ("unit", 3)
-        assert (row_structure(a6, 2).kind, row_structure(a6, 2).q) == ("copy", 3)
-        assert row_structure(a6, 6).kind == "zero"
+        assert _classify_row(a6.rows, 0) == RowStructure("unit", 3)
+        assert _classify_row(a6.rows, 1) == RowStructure("copy", 3)
+        assert _classify_row(a6.rows, 5) == RowStructure("zero")
 
     def test_last_row_always_zero(self):
         for m in fb(4):
-            assert row_structure(m, 4).kind == "zero"
+            assert _classify_row(m.rows, 3).kind == "zero"
 
     def test_out_of_range(self, a6):
-        with pytest.raises(ValueError):
-            row_structure(a6, 7)
+        with pytest.raises(IndexError):
+            _classify_row(a6.rows, 6)
 
 
 class TestPhiSigma:

@@ -16,7 +16,9 @@ from conftest import (
     REFERENCE_6_EDGEFLIP_3_6,
     REFERENCE_6_EDGEFLIP_5_6,
     fb,
+    relabel_topological,
     seven_vertex_pair,
+    subtree_vertices,
 )
 from fanobott import (
     DIFFEO,
@@ -42,9 +44,7 @@ from fanobott import (
     from_matrix,
     make_forest,
     relabel,
-    relabel_topological,
     replay,
-    subtree_vertices,
     to_matrix,
     validate,
     witness_from_json,
