@@ -18,6 +18,7 @@ finally checks the row-by-row sign match.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 from fanobott.forest import _kids_and_order, from_matrix
@@ -115,7 +116,7 @@ def rows_match_up_to_sign(m: RayMatrix | Sequence[Sequence[int]],
     for index, (r1, r2) in enumerate(zip(rows1, rows2)):
         if r1 == r2:
             signs.append("+")
-        elif r1 == tuple(-v for v in r2):
+        elif not any(map(add, r1, r2)):
             signs.append("-")
         else:
             return MatchReport(False, None, index + 1)

@@ -127,6 +127,8 @@ def step_from_json(data: object) -> OpStep:
     tag = data.get("op")
     if tag == "p":
         perm = _step_field(data, "perm")
+        if not isinstance(perm, list):
+            raise ValueError('"perm" must be a list')
         return ConjugateStep(tuple(_require_int("perm entry", x) for x in perm))
     if tag == "2":
         return ColumnFlipStep(_require_int("k", _step_field(data, "k")))
@@ -343,23 +345,35 @@ def _admissible_perms(phi: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
+def _flip_neighbors(a: FanoBottMatrix, ps: PhiSigma,
+                    use_root_edge_flips: bool) -> list[FanoBottMatrix]:
+    """The column flips at 1..d, then the root-edge flips when enabled."""
+    out = [flip_column(a, k) for k in range(1, a.dim + 1)]
+    if use_root_edge_flips:
+        out.extend(flip_root_edge(a, k, l) for k, l in _valid_root_edge_pairs(ps))
+    return out
+
+
+def _relabel_neighbors(a: FanoBottMatrix, ps: PhiSigma) -> list[FanoBottMatrix]:
+    """The admissible conjugates of a, in lexicographic order of perm.
+
+    Only the relabelings that keep every label below its parent's are
+    conjugated, since every other permutation leaves the admissible set;
+    each conjugate is still validated, so a wrong relabeling raises.
+    """
+    return [validate(conjugate(a, perm)) for perm in _admissible_perms(ps.phi)]
+
+
 def neighbors(a: FanoBottMatrix, *,
               use_root_edge_flips: bool = True) -> list[FanoBottMatrix]:
     """All admissible matrices one move away from a.
 
     The list holds the column flips at 1..d, then the root-edge flips
-    (when enabled), then the conjugates in lexicographic order of perm.
-    Only the relabelings that keep every label below its parent's are
-    conjugated, since every other permutation leaves the admissible set;
-    each conjugate is still validated, so a wrong relabeling raises.
+    (when enabled), then the admissible conjugates in lexicographic order
+    of perm.
     """
-    d = a.dim
     ps = to_phi_sigma(a)
-    out = [flip_column(a, k) for k in range(1, d + 1)]
-    if use_root_edge_flips:
-        out.extend(flip_root_edge(a, k, l) for k, l in _valid_root_edge_pairs(ps))
-    out.extend(validate(conjugate(a, perm)) for perm in _admissible_perms(ps.phi))
-    return out
+    return _flip_neighbors(a, ps, use_root_edge_flips) + _relabel_neighbors(a, ps)
 
 
 def bfs_closure_classes(d: int, *,
@@ -367,15 +381,23 @@ def bfs_closure_classes(d: int, *,
                         ) -> list[list[FanoBottMatrix]]:
     """Connected components of the move graph on the whole enumeration.
 
-    This is ground truth for move reachability; intended for d <= 6.
+    This is ground truth for move reachability; intended for d <= 7.
     With use_root_edge_flips=False only relabelings and column flips are
     used, which characterizes isomorphism of the underlying varieties.
     Classes come in first-occurrence order of the enumeration stream and
     list their members in stream order.
+
+    Every matrix gets all of its flip edges, but the relabel edges are
+    taken only from the first matrix of each relabeling orbit in stream
+    order.  Conjugations compose, so a conjugate of conj(m, p) is
+    conj(m, q∘p): every member of the orbit has the whole orbit as its
+    admissible conjugates, and once the first member is joined to all of
+    them the others' relabel edges merge nothing.
     """
     mats = list(enumerate_matrices(d))
     index = {m: i for i, m in enumerate(mats)}
     parent = list(range(len(mats)))
+    relabeled = bytearray(len(mats))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -388,10 +410,16 @@ def bfs_closure_classes(d: int, *,
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
-    for m in mats:
-        i = index[m]
-        for n in neighbors(m, use_root_edge_flips=use_root_edge_flips):
+    for i, m in enumerate(mats):
+        ps = to_phi_sigma(m)
+        for n in _flip_neighbors(m, ps, use_root_edge_flips):
             union(i, index[n])
+        if relabeled[i]:
+            continue
+        for n in _relabel_neighbors(m, ps):
+            j = index[n]
+            relabeled[j] = 1
+            union(i, j)
     groups: dict[int, list[FanoBottMatrix]] = defaultdict(list)
     order: list[int] = []
     for i, m in enumerate(mats):

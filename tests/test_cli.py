@@ -292,8 +292,11 @@ class TestErrorPaths:
         ('{"steps":[{"op":"p"}]}', "step 'p' is missing 'perm'"),
         ('{"steps":[{"op":"2","l":1}]}', "step '2' is missing 'k'"),
         ('{"steps":[{"op":"3","k":1}]}', "step '3' is missing 'l'"),
+        ('{"steps":[{"op":"p","perm":5}]}', '"perm" must be a list'),
+        ('{"steps":[{"op":"p","perm":"21"}]}', '"perm" must be a list'),
+        ('{"steps":[{"op":"p","perm":null}]}', '"perm" must be a list'),
     ], ids=["sha-int", "sha-null", "sha-list", "steps-int", "no-perm", "no-k",
-            "no-l"])
+            "no-l", "perm-int", "perm-str", "perm-null"])
     def test_malformed_witness_is_an_input_error(self, capsys, witness, message):
         code, out, err = run(capsys, "certify", P2, P2_NEG, witness)
         assert (code, out) == (2, "")

@@ -18,6 +18,7 @@ from fanobott import (
     ColumnFlipStep,
     ConjugateStep,
     FanoBottError,
+    MatchReport,
     OpSequence,
     RootEdgeFlipStep,
     ShapeMismatchError,
@@ -239,6 +240,40 @@ def admissible_relabeling(draw_int, a):
     return tuple(perm)
 
 
+def reference_rows_match(rows1, rows2):
+    """Row-by-row sign match that negates the whole row of rows2."""
+    signs = []
+    for index, (r1, r2) in enumerate(zip(rows1, rows2)):
+        if r1 == r2:
+            signs.append("+")
+        elif r1 == tuple(-v for v in r2):
+            signs.append("-")
+        else:
+            return MatchReport(False, None, index + 1)
+    return MatchReport(True, tuple(signs), None)
+
+
+@st.composite
+def row_pairs(draw):
+    """Two equal-shape row lists whose rows mostly agree up to sign."""
+    height = draw(st.integers(0, 8))
+    width = draw(st.integers(0, 5))
+    entry = st.integers(-2, 2)
+    rows1, rows2 = [], []
+    for _ in range(height):
+        r1 = tuple(draw(st.lists(entry, min_size=width, max_size=width)))
+        relation = draw(st.sampled_from(["+", "-", "-", "other"]))
+        if relation == "+":
+            r2 = r1
+        elif relation == "-":
+            r2 = tuple(-v for v in r1)
+        else:
+            r2 = tuple(draw(st.lists(entry, min_size=width, max_size=width)))
+        rows1.append(r1)
+        rows2.append(r2)
+    return tuple(rows1), tuple(rows2)
+
+
 def root_edges(a):
     """(k, l) for every child k of a root l."""
     d = a.dim
@@ -317,6 +352,13 @@ class TestRowMatching:
     def test_shape_mismatch(self, a6):
         with pytest.raises(ShapeMismatchError):
             rows_match_up_to_sign(rays(a6), rays(validate([[0]])))
+
+    @settings(max_examples=300, deadline=None)
+    @given(row_pairs())
+    def test_matches_negation_reference(self, pair):
+        rows1, rows2 = pair
+        report = rows_match_up_to_sign(RayMatrix(rows1), RayMatrix(rows2))
+        assert report == reference_rows_match(rows1, rows2)
 
     def test_diagonal_fixture(self):
         # the worked 7-vertex pair: after the prefix and the subtree flip

@@ -50,6 +50,7 @@ from fanobott import (
     witness_from_json,
 )
 from fanobott import forest as forest_module
+from fanobott import ops as ops_module
 from fanobott.forest import _match_forests
 from fanobott.ops import neighbors
 from test_forest import (
@@ -171,6 +172,28 @@ def reference_conjugates(m):
         except InvalidMatrixError:
             pass
     return out
+
+
+def reference_bfs_closure_classes(d, use_root_edge_flips=True):
+    """Move-graph components with every edge of every matrix: a union per
+    neighbors entry, classes and members in stream order."""
+    mats = fb(d)
+    index = {m: i for i, m in enumerate(mats)}
+    parent = list(range(len(mats)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, m in enumerate(mats):
+        for n in neighbors(m, use_root_edge_flips=use_root_edge_flips):
+            rx, ry = find(i), find(index[n])
+            parent[max(rx, ry)] = min(rx, ry)
+    groups = defaultdict(list)
+    for i, m in enumerate(mats):
+        groups[find(i)].append(m)
+    return list(groups.values())
 
 
 def valid_edge_flip_pairs(m):
@@ -406,7 +429,7 @@ class TestBfsClosure:
         assert {((0, 0), (0, 0))} in as_rows
         assert {((0, 1), (0, 0)), ((0, -1), (0, 0))} in as_rows
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_matches_diffeo_codes(self, d):
         by_code = {}
         for m in fb(d):
@@ -414,7 +437,29 @@ class TestBfsClosure:
             by_code.setdefault(code, set()).add(m)
         bfs = {frozenset(cls) for cls in bfs_closure_classes(d)}
         assert bfs == {frozenset(v) for v in by_code.values()}
-        assert len(bfs) == {2: 2, 3: 4, 4: 10, 5: 25}[d]
+        assert len(bfs) == {2: 2, 3: 4, 4: 10, 5: 25, 6: 71}[d]
+
+    @pytest.mark.parametrize("use_root_edge_flips", [True, False])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_equals_per_matrix_reference(self, d, use_root_edge_flips):
+        assert bfs_closure_classes(d, use_root_edge_flips=use_root_edge_flips) \
+            == reference_bfs_closure_classes(d, use_root_edge_flips)
+
+    def test_relabels_each_orbit_once(self, monkeypatch):
+        # d=5: 945 matrices in 160 relabeling orbits, whose first members
+        # have 1,690 admissible relabelings together; one neighbors call
+        # per matrix makes 945 generator calls and 14,400 conjugations
+        counts = {"conjugate": 0, "_admissible_perms": 0}
+        for name in counts:
+            original = getattr(ops_module, name)
+
+            def counting(*args, name=name, original=original):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(ops_module, name, counting)
+        bfs_closure_classes(5)
+        assert counts == {"conjugate": 1690, "_admissible_perms": 160}
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_relabel_and_column_flips_match_variety_codes(self, d):
