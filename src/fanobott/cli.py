@@ -6,10 +6,16 @@ disagreement), 2 for usage or input errors and for any internal error,
 which is reported on stderr without a traceback.  Matrix arguments accept a
 file path or inline JSON (anything starting with "[" or "{").
 
-`classify` and `oracle` stream the enumeration through one process and
-keep one entry per canonical code, so their memory follows the number of
-classes rather than the (2d-1)!! matrices; nothing is printed before the
-stream ends, so an error leaves stdout empty.
+`classify` builds no matrix or forest per labelled matrix: one
+depth-first pass over the row choices builds each subtree code once per
+prefix of choices and keeps, for each forest code, the smallest position
+in the enumeration stream.  The representatives are the matrices at those
+positions, printed in stream order, which is the first member of each
+class in the stream.  `oracle` runs the move-graph search first, then
+streams the enumeration with one diffeo code per matrix and checks that
+code and search class determine each other.  Memory follows the number
+of classes for `classify` and the search for `oracle`; nothing is
+printed before the work ends, so an error leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from fanobott.matrix import (
     FanoBottError,
     FanoBottMatrix,
     InvalidMatrixError,
+    _matrix_at,
     count_matrices,
     enumerate_matrices,
     matrix_from_json,
@@ -79,14 +86,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    representatives: dict[str, FanoBottMatrix] = {}
-    for m in enumerate_matrices(args.dim):
-        code = forest.canonical_code(forest.from_matrix(m), args.mode).code
-        representatives.setdefault(code, m)
-    print(_compact({"classes": len(representatives),
-                    "dim": args.dim, "mode": args.mode}))
-    for m in representatives.values():
-        print(_compact(m.to_json()))
+    first = forest._first_positions(args.dim, args.mode)
+    print(_compact({"classes": len(first), "dim": args.dim, "mode": args.mode}))
+    for position in sorted(first.values()):
+        print(_compact(_matrix_at(args.dim, position).to_json()))
     return 0
 
 
@@ -147,17 +150,24 @@ def _cmd_forest_dot(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    by_code: dict[str, set[FanoBottMatrix]] = {}
+    classes = ops.bfs_closure_classes(args.dim)
+    bfs_classes = len(classes)
+    class_of = {m: i for i, members in enumerate(classes) for m in members}
+    del classes
+    # The partitions agree exactly when code <-> class index is a bijection.
+    code_of: dict[int, str] = {}
+    class_by_code: dict[str, int] = {}
+    agree = True
     for m in enumerate_matrices(args.dim):
         code = forest.canonical_code(forest.from_matrix(m), forest.DIFFEO).code
-        by_code.setdefault(code, set()).add(m)
-    code_partition = {frozenset(v) for v in by_code.values()}
-    bfs_partition = {frozenset(cls) for cls in ops.bfs_closure_classes(args.dim)}
-    agree = code_partition == bfs_partition
+        i = class_of[m]
+        same_code = code_of.setdefault(i, code) == code
+        same_class = class_by_code.setdefault(code, i) == i
+        agree = agree and same_code and same_class
     print(_compact({
         "agree": agree,
-        "bfs_classes": len(bfs_partition),
-        "code_classes": len(code_partition),
+        "bfs_classes": bfs_classes,
+        "code_classes": len(class_by_code),
         "dim": args.dim,
     }))
     return 0 if agree else 1

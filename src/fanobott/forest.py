@@ -22,7 +22,10 @@ All subtree codes come from one iterative pass that visits children before
 parents (a reversed breadth-first search from the roots), so any depth
 works and labels need not increase toward the roots.  The witness matcher
 reuses that pass: it pairs the vertices of two equivalent forests by their
-subtree codes and reads each vertex's flip from the pass's choices.
+subtree codes and reads each vertex's flip from the pass's choices.  The
+same per-vertex rule also codes every matrix of one size at once, in a
+depth-first pass over the row choices that shares each subtree code among
+all matrices with the same choices below it.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from fanobott.matrix import (
     FanoBottMatrix,
     PhiSigma,
     _require_int,
+    _row_choices,
     from_phi_sigma,
     to_phi_sigma,
 )
@@ -248,6 +252,29 @@ def _kids_and_order(parents: tuple[int, ...]) -> tuple[list[list[int]], list[int
     return kids, order
 
 
+def _vertex_code(tokens: list[tuple[str, str]], mode: str, root: bool
+                 ) -> tuple[str, bool]:
+    """Code of one vertex from its children's (code, sign) tokens.
+
+    Returns the code and whether the globally flipped token list was the
+    one kept.  A childless vertex is the atom "L"; "rooted" sorts the
+    child codes; "variety" and non-root "diffeo" vertices keep the smaller
+    of the sorted given and flipped token lists; a "diffeo" root drops
+    the signs and is written "[...]".
+    """
+    if mode == DIFFEO and root:
+        return "[" + ",".join(sorted([code for code, _ in tokens])) + "]", False
+    if not tokens:
+        return LEAF_ATOM, False
+    if mode == ROOTED:
+        return "(" + ",".join(sorted([code for code, _ in tokens])) + ")", False
+    given = sorted(tokens)
+    other = sorted([(code, _FLIP[s]) for code, s in given])
+    flipped = other < given
+    kept = other if flipped else given
+    return "(" + ",".join([code + s for code, s in kept]) + ")", flipped
+
+
 def _bottom_up(t: SignedRootedForest, mode: str
                ) -> tuple[list[list[int]], list[str], list[bool]]:
     """Subtree codes of every vertex in one pass, children before parents.
@@ -262,23 +289,66 @@ def _bottom_up(t: SignedRootedForest, mode: str
     kids, order = _kids_and_order(parents)
     codes = [LEAF_ATOM] * (len(parents) + 1)
     flipped = [False] * (len(parents) + 1)
-    diffeo = mode == DIFFEO
     for v in reversed(order):
-        children = kids[v]
-        if diffeo and not parents[v - 1]:
-            codes[v] = "[" + ",".join(sorted([codes[c] for c in children])) + "]"
-        elif not children:
-            continue
-        elif mode == ROOTED:
-            codes[v] = "(" + ",".join(sorted([codes[c] for c in children])) + ")"
-        else:
-            given = sorted([(codes[c], signs[c - 1]) for c in children])
-            other = sorted([(code, _FLIP[s]) for code, s in given])
-            if other < given:
-                given = other
-                flipped[v] = True
-            codes[v] = "(" + ",".join([code + s for code, s in given]) + ")"
+        codes[v], flipped[v] = _vertex_code(
+            [(codes[c], signs[c - 1]) for c in kids[v]], mode, not parents[v - 1])
     return kids, codes, flipped
+
+
+def _first_positions(d: int, mode: str) -> dict[str, int]:
+    """Each forest code of the d x d matrices with its smallest stream position.
+
+    One depth-first pass over the row choices replaces building a forest
+    per matrix: vertex 1 chooses first and vertex d last.  Children carry
+    smaller labels than their parents, so once vertices 1..k-1 have
+    chosen, the subtree at k is complete and its code is built once for
+    that whole prefix; each choice then files the code as a root or as a
+    (code, sign) token of the chosen parent.  A matrix's stream position
+    is the mixed-radix index of its choices with row 1 fastest, as in
+    :func:`~fanobott.matrix.enumerate_matrices`.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if d == 1:  # the one matrix is a single childless root
+        return {_vertex_code([], mode, True)[0]: 0}
+    per_row = _row_choices(d)
+    weights = [1]
+    for choices in per_row[:-1]:
+        weights.append(weights[-1] * len(choices))
+    below: list[list] = [[] for _ in range(d + 2)]
+    roots = below[d + 1]  # root codes; below[q] holds the tokens of q's children
+    diffeo = mode == DIFFEO
+    first: dict[str, int] = {}
+
+    def frame(k: int, base: int) -> list:
+        """Vertex k, the position its prefix fixes, its filings, its next choice."""
+        code = _vertex_code(below[k], mode, False)[0]
+        root_code = _vertex_code(below[k], mode, True)[0] if diffeo else code
+        filings = [(roots, root_code) if q > d else (below[q], (code, s))
+                   for q, s in per_row[k - 1]]
+        return [k, base, filings, 0]
+
+    # Vertex d has the one choice of a root, so the pass ends at vertex d-1.
+    stack = [frame(1, 0)]
+    while stack:
+        top = stack[-1]
+        k, base, filings, j = top
+        if j:
+            filings[j - 1][0].pop()
+        if j == len(filings):
+            stack.pop()
+            continue
+        target, item = filings[j]
+        target.append(item)
+        top[3] = j + 1
+        position = base + j * weights[k - 1]
+        if k < d - 1:
+            stack.append(frame(k + 1, position))
+            continue
+        code = "|".join(sorted([*roots, _vertex_code(below[d], mode, True)[0]]))
+        if first.get(code, position) >= position:
+            first[code] = position
+    return first
 
 
 def canonical_code(t: SignedRootedForest, mode: str) -> CanonicalCode:

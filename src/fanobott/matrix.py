@@ -287,24 +287,45 @@ def from_phi_sigma(ps: PhiSigma) -> FanoBottMatrix:
     return FanoBottMatrix(_rows_bottom_up(ps.dim, choices))
 
 
-def enumerate_matrices(d: int) -> Iterator[FanoBottMatrix]:
-    """Yield every admissible d x d matrix exactly once.
+def _row_choices(d: int) -> list[list[tuple[int, str | None]]]:
+    """The (phi, sigma) template choices of rows 1..d, in stream order.
 
-    Row p offers 1 + 2(d-p) template choices, so the stream has length
-    (2d-1)!!.  Choices are ordered zero row first, then unit rows by target
-    column, then copy rows by target column, and the stream is sorted by
-    the choice at row d-1 first, down to row 1.
+    Row p offers 1 + 2(d-p) choices: the zero row (phi = d+1) first, then
+    unit rows by target column, then copy rows by target column.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
-    per_row: list[list[tuple[int, str | None]]] = [[(d + 1, None)]]
-    for p in range(d - 1, 0, -1):
+    per_row: list[list[tuple[int, str | None]]] = []
+    for p in range(1, d + 1):
         choices: list[tuple[int, str | None]] = [(d + 1, None)]
         choices += [(q, "+") for q in range(p + 1, d + 1)]
         choices += [(q, "-") for q in range(p + 1, d + 1)]
         per_row.append(choices)
-    for combo in product(*per_row):
+    return per_row
+
+
+def enumerate_matrices(d: int) -> Iterator[FanoBottMatrix]:
+    """Yield every admissible d x d matrix exactly once.
+
+    Row p offers 1 + 2(d-p) template choices (see :func:`_row_choices`),
+    so the stream has length (2d-1)!!.  The stream is sorted by the choice
+    at row d-1 first, down to row 1: the position of a matrix is the
+    mixed-radix number of its choice indices with row 1 varying fastest.
+    """
+    for combo in product(*reversed(_row_choices(d))):
         yield FanoBottMatrix(_rows_bottom_up(d, combo))
+
+
+def _matrix_at(d: int, position: int) -> FanoBottMatrix:
+    """The matrix at the given 0-based position of :func:`enumerate_matrices`."""
+    per_row = _row_choices(d)
+    if not 0 <= position < count_matrices(d):
+        raise ValueError(f"position {position} out of range for d = {d}")
+    combo = []
+    for choices in per_row:
+        position, j = divmod(position, len(choices))
+        combo.append(choices[j])
+    return FanoBottMatrix(_rows_bottom_up(d, reversed(combo)))
 
 
 def count_matrices(d: int) -> int:

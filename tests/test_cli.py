@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +16,12 @@ from fanobott import (
     DIFFEO,
     MODES,
     canonical_code,
+    enumerate_matrices,
+    forest,
+    from_matrix,
     leaf_cut,
     make_forest,
+    ops,
 )
 from fanobott.cli import main
 from test_forest import caterpillar_forest, path_forest
@@ -23,6 +29,23 @@ from test_forest import caterpillar_forest, path_forest
 P2 = "[[0,1],[0,0]]"
 P2_NEG = "[[0,-1],[0,0]]"
 P2_ZERO = "[[0,0],[0,0]]"
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "golden.json").read_text())
+
+
+def _compact(data):
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def reference_classify(d, mode):
+    """Stdout of `classify` by enumerate-then-deduplicate: a forest and a
+    code per matrix, keeping the first matrix of the stream per code."""
+    representatives = {}
+    for m in enumerate_matrices(d):
+        representatives.setdefault(canonical_code(from_matrix(m), mode).code, m)
+    lines = [_compact({"classes": len(representatives), "dim": d, "mode": mode})]
+    lines += [_compact(m.to_json()) for m in representatives.values()]
+    return "\n".join(lines) + "\n"
 
 
 def run(capsys, *argv):
@@ -83,6 +106,37 @@ class TestClassify:
         first = run(capsys, "classify", "-d", "4", "--mode", "variety")
         second = run(capsys, "classify", "-d", "4", "--mode", "variety")
         assert first == second
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_matches_reference_loop(self, capsys, d, mode):
+        assert run(capsys, "classify", "-d", str(d), "--mode", mode) == (
+            0, reference_classify(d, mode), "")
+
+    @pytest.mark.parametrize("mode", ["variety", "diffeo"])
+    def test_d7_matches_golden_digest(self, capsys, mode):
+        golden = GOLDEN["classify"][mode]
+        code, out, _ = run(capsys, *golden["argv"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == golden["sha256"]
+
+    def test_builds_no_forest_per_matrix(self, capsys, monkeypatch):
+        expected = reference_classify(5, DIFFEO)
+
+        def refuse(*args):
+            raise AssertionError("classify built a forest or code per matrix")
+
+        monkeypatch.setattr(forest, "from_matrix", refuse)
+        monkeypatch.setattr(forest, "canonical_code", refuse)
+        assert run(capsys, "classify", "-d", "5", "--mode", DIFFEO) == (
+            0, expected, "")
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_nonpositive_dimension_exits_2(self, capsys, d, mode):
+        code, out, err = run(capsys, "classify", "-d", d, "--mode", mode)
+        assert (code, out) == (2, "")
+        assert err == "error: d must be at least 1\n"
 
     def test_memory_follows_the_classes(self, capsys):
         # The enumeration is streamed: only one representative per class
@@ -221,6 +275,29 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", "-d", "4")
         assert code == 0
         assert json.loads(out)["agree"] is True
+
+    def test_d5_golden_digest(self, capsys):
+        golden = GOLDEN["oracle"]["d5"]
+        code, out, _ = run(capsys, *golden["argv"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == golden["sha256"]
+
+    def test_split_class_disagrees(self, capsys, monkeypatch):
+        classes = ops.bfs_closure_classes(4)
+        big = max(classes, key=len)
+        split = [c for c in classes if c is not big] + [big[:1], big[1:]]
+        monkeypatch.setattr(ops, "bfs_closure_classes", lambda d: split)
+        code, out, _ = run(capsys, "oracle", "-d", "4")
+        assert code == 1
+        assert out == '{"agree":false,"bfs_classes":11,"code_classes":10,"dim":4}\n'
+
+    def test_merged_classes_disagree(self, capsys, monkeypatch):
+        classes = ops.bfs_closure_classes(4)
+        merged = [classes[0] + classes[1]] + classes[2:]
+        monkeypatch.setattr(ops, "bfs_closure_classes", lambda d: merged)
+        code, out, _ = run(capsys, "oracle", "-d", "4")
+        assert code == 1
+        assert out == '{"agree":false,"bfs_classes":9,"code_classes":10,"dim":4}\n'
 
 
 class TestErrorPaths:

@@ -28,6 +28,7 @@ from fanobott import (
     to_matrix,
     validate,
 )
+from fanobott.forest import LEAF_ATOM, _bottom_up, _first_positions, _kids_and_order
 
 FLIP = {"+": "-", "-": "+"}
 
@@ -73,6 +74,32 @@ def reference_code(t, mode):
     memo = {}
     return "|".join(sorted(reference_root_code(r, kids, t.signs, mode, memo)
                            for r in t.roots()))
+
+
+def inline_bottom_up(t, mode):
+    """The pass of `_bottom_up` with the vertex code rule written inline,
+    as it was before the rule moved into one helper."""
+    parents, signs = t.parents, t.signs
+    kids, order = _kids_and_order(parents)
+    codes = [LEAF_ATOM] * (len(parents) + 1)
+    flipped = [False] * (len(parents) + 1)
+    diffeo = mode == DIFFEO
+    for v in reversed(order):
+        children = kids[v]
+        if diffeo and not parents[v - 1]:
+            codes[v] = "[" + ",".join(sorted([codes[c] for c in children])) + "]"
+        elif not children:
+            continue
+        elif mode == ROOTED:
+            codes[v] = "(" + ",".join(sorted([codes[c] for c in children])) + ")"
+        else:
+            given = sorted([(codes[c], signs[c - 1]) for c in children])
+            other = sorted([(code, FLIP[s]) for code, s in given])
+            if other < given:
+                given = other
+                flipped[v] = True
+            codes[v] = "(" + ",".join([code + s for code, s in given]) + ")"
+    return kids, codes, flipped
 
 
 def path_forest(n, signs=None):
@@ -272,6 +299,8 @@ class TestCanonicalCodes:
     def test_unknown_mode(self, tree5):
         with pytest.raises(ValueError):
             canonical_code(from_matrix(tree5), "smooth")
+        with pytest.raises(ValueError):
+            _first_positions(3, "smooth")
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_partitions_coarsen(self, d):
@@ -305,6 +334,14 @@ class TestCanonicalCodes:
         for forest in (t, relabel(t, perm)):
             for mode in MODES:
                 assert canonical_code(forest, mode).code == reference_code(forest, mode)
+
+    @settings(max_examples=300, deadline=None)
+    @given(forests(max_size=12), st.data())
+    def test_bottom_up_matches_inline_rule(self, t, data):
+        perm = tuple(data.draw(st.permutations(range(1, t.size + 1))))
+        for forest in (t, relabel(t, perm)):
+            for mode in MODES:
+                assert _bottom_up(forest, mode) == inline_bottom_up(forest, mode)
 
     def test_deep_path_codes(self):
         n = 5000

@@ -22,7 +22,7 @@ from fanobott import (
     to_phi_sigma,
     validate,
 )
-from fanobott.matrix import RowStructure, _classify_row
+from fanobott.matrix import RowStructure, _classify_row, _matrix_at
 
 
 def all_upper_triangular_grids(d):
@@ -313,6 +313,16 @@ class TestEnumerate:
     def test_rejects_nonpositive_dimension(self):
         with pytest.raises(ValueError):
             list(enumerate_matrices(0))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_matrix_at_every_position(self, d):
+        stream = fb(d) if d <= 5 else list(enumerate_matrices(d))
+        assert [_matrix_at(d, i) for i in range(len(stream))] == stream
+
+    @pytest.mark.parametrize("d, position", [(3, -1), (3, 15), (0, 0)])
+    def test_matrix_at_rejects_positions_outside_the_stream(self, d, position):
+        with pytest.raises(ValueError):
+            _matrix_at(d, position)
 
 
 class TestDirectSum:
