@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import chain, compress, product
 from typing import Iterable, Iterator, Sequence
 
 
@@ -55,11 +55,6 @@ def _require_int(name: str, value: object) -> int:
     if type(value) is not int:
         raise ValueError(f"{name} = {value!r} is not an integer")
     return value
-
-
-ROW_ZERO = "zero"
-ROW_UNIT = "unit"
-ROW_COPY = "copy"
 
 
 @dataclass(frozen=True)
@@ -105,14 +100,14 @@ class FanoBottMatrix:
 def _classify_row(rows: Sequence[Sequence[int]], p0: int) -> RowStructure:
     """Match row p0 (0-based) against the three admissible templates.
 
-    Rows that match are decided by slice comparisons; only a failing row
-    is scanned entry by entry, to name its first offending column.
+    validate calls this only on a grid its scan rejected, to name the
+    first row that matches no template and its first offending column.
     """
     row = rows[p0]
     d = len(rows)
     q0 = next(compress(range(len(row)), row), None)
     if q0 is None:
-        return RowStructure(ROW_ZERO)
+        return RowStructure("zero")
     if row[q0] == 1:
         if any(row[q0 + 1:]):
             bad = next(j for j in range(q0 + 1, d) if row[j] != 0)
@@ -121,7 +116,7 @@ def _classify_row(rows: Sequence[Sequence[int]], p0: int) -> RowStructure:
                 f"leading +1 in column {q0 + 1} but entry in column {bad + 1} "
                 "is nonzero: not a unit row",
             )
-        return RowStructure(ROW_UNIT, q0 + 1)
+        return RowStructure("unit", q0 + 1)
     if row[q0 + 1:] != rows[q0][q0 + 1:]:
         bad = next((j for j in range(q0 + 1, d) if row[j] != rows[q0][j]), None)
         if bad is not None:
@@ -130,7 +125,7 @@ def _classify_row(rows: Sequence[Sequence[int]], p0: int) -> RowStructure:
                 f"leading -1 in column {q0 + 1} but entry in column {bad + 1} "
                 f"differs from row {q0 + 1}: not a copy row",
             )
-    return RowStructure(ROW_COPY, q0 + 1)
+    return RowStructure("copy", q0 + 1)
 
 
 def _reject_entries(row: tuple[int, ...], p0: int) -> None:
@@ -148,24 +143,42 @@ def _reject_entries(row: tuple[int, ...], p0: int) -> None:
             )
 
 
-def validate(grid: Sequence[Sequence[int]]) -> FanoBottMatrix:
-    """Check a square integer grid row by row and wrap it.
+def _accept(rows: tuple[tuple[int, ...], ...]) -> PhiSigma:
+    """phi and sigma of an admissible grid, read off in one scan.
 
-    Rows are checked in order and the lowest offending row is reported:
-    first for a nonzero entry on or below the diagonal, then for an entry
-    outside {-1, 0, 1}, then for matching none of the three row templates.
-
-    Raises:
-        ValueError: naming the first entry whose type is not int (bool
-            included), before any other check.
-        InvalidMatrixError: with the 1-based row and the failed condition.
+    After one type check and one length check over all rows, each row's
+    leading column comes from ``compress`` (d for a zero row), and one
+    comparison accepts the row: ``row.count(0) == d - 1`` for a unit row,
+    and for a copy row a tail equal to the leading column's row, which is
+    scanned too.  A rejected grid is walked again in validate's order, to
+    raise the error of its lowest offending row.
     """
-    rows = tuple(map(tuple, grid))
+    d = len(rows)
+    cols = range(d)
+    phi: list[int] = []
+    sigma: list[str | None] = []
+    if (_INT_ONLY.issuperset(map(type, chain.from_iterable(rows)))
+            and {d}.issuperset(map(len, rows))):
+        for p0, row in enumerate(rows):
+            q0 = next(compress(cols, row), d)
+            if q0 == d:
+                sign = None
+            elif q0 <= p0:
+                break
+            elif row[q0] == 1 and row.count(0) == d - 1:
+                sign = "+"
+            elif row[q0] == -1 and row[q0 + 1:] == rows[q0][q0 + 1:]:
+                sign = "-"
+            else:
+                break
+            phi.append(q0 + 1)
+            sigma.append(sign)
+        else:
+            return PhiSigma(tuple(phi), tuple(sigma))
     for p0, row in enumerate(rows):
         if not _INT_ONLY.issuperset(map(type, row)):
             j0, value = next((j0, x) for j0, x in enumerate(row) if type(x) is not int)
             raise ValueError(f"entry ({p0 + 1},{j0 + 1}) = {value!r} is not an integer")
-    d = len(rows)
     for p0, row in enumerate(rows):
         if len(row) != d:
             raise InvalidMatrixError(
@@ -175,6 +188,24 @@ def validate(grid: Sequence[Sequence[int]]) -> FanoBottMatrix:
         if any(row[:p0 + 1]) or min(row) < -1 or max(row) > 1:
             _reject_entries(row, p0)
         _classify_row(rows, p0)
+    raise AssertionError("the scan rejected a grid with no offending row")
+
+
+def validate(grid: Sequence[Sequence[int]]) -> FanoBottMatrix:
+    """Check a square integer grid and wrap it.
+
+    One scan accepts the grid (see :func:`_accept`).  Only a rejected grid
+    is walked again, row by row, to report the lowest offending row: first
+    a nonzero entry on or below the diagonal, then an entry outside
+    {-1, 0, 1}, then a row matching none of the three row templates.
+
+    Raises:
+        ValueError: naming the first entry whose type is not int (bool
+            included), before any other check.
+        InvalidMatrixError: with the 1-based row and the failed condition.
+    """
+    rows = tuple(map(tuple, grid))
+    _accept(rows)
     return FanoBottMatrix(rows)
 
 
@@ -217,6 +248,7 @@ def phi_sigma(phi: Sequence[int], sigma: Sequence[str | None]) -> PhiSigma:
     """Validate and wrap parent/sign data.
 
     Raises:
+        ValueError: naming the first phi(i) whose type is not int.
         InvalidPhiError: if some phi(i) <= i or phi(i) > d+1, or if sigma is
             defined on the wrong set of vertices.
     """
@@ -224,6 +256,7 @@ def phi_sigma(phi: Sequence[int], sigma: Sequence[str | None]) -> PhiSigma:
     if len(sigma) != d:
         raise InvalidPhiError(f"phi has {d} entries but sigma has {len(sigma)}")
     for i0, target in enumerate(phi):
+        _require_int(f"phi({i0 + 1})", target)
         if not i0 + 1 < target <= d + 1:
             raise InvalidPhiError(
                 f"phi({i0 + 1}) = {target} violates {i0 + 1} < phi <= {d + 1}"
@@ -233,22 +266,16 @@ def phi_sigma(phi: Sequence[int], sigma: Sequence[str | None]) -> PhiSigma:
             raise InvalidPhiError(f"sigma({i0 + 1}) given for a root vertex")
         if target <= d and sign not in ("+", "-"):
             raise InvalidPhiError(f"sigma({i0 + 1}) = {sign!r} is not '+' or '-'")
-    return PhiSigma(tuple(int(t) for t in phi), tuple(sigma))
+    return PhiSigma(tuple(phi), tuple(sigma))
 
 
 def to_phi_sigma(a: FanoBottMatrix) -> PhiSigma:
-    """Read off phi (leading column of each row, d+1 for zero rows) and sigma."""
-    phi: list[int] = []
-    sigma: list[str | None] = []
-    for p in range(1, a.dim + 1):
-        rs = _classify_row(a.rows, p - 1)
-        if rs.kind == ROW_ZERO:
-            phi.append(a.dim + 1)
-            sigma.append(None)
-        else:
-            phi.append(rs.q)  # type: ignore[arg-type]
-            sigma.append("+" if rs.kind == ROW_UNIT else "-")
-    return PhiSigma(tuple(phi), tuple(sigma))
+    """Read off phi (leading column of each row, d+1 for zero rows) and sigma.
+
+    Uses validate's scan, so a matrix built without :func:`validate` that
+    is not admissible raises validate's error instead of a wrong reading.
+    """
+    return _accept(tuple(map(tuple, a.rows)))
 
 
 def _rows_bottom_up(d: int, choices: Iterable[tuple[int, str | None]]

@@ -21,6 +21,7 @@ truth for the canonical codes.
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
@@ -170,14 +171,9 @@ def conjugate(a: FanoBottMatrix, perm: Sequence[int]) -> tuple[tuple[int, ...], 
     can leave the admissible set, so callers validate when membership is
     required.
     """
-    d = a.dim
-    perm = _check_perm(perm, d)
-    out = [[0] * d for _ in range(d)]
-    for i0 in range(d):
-        row = a.rows[i0]
-        for j0 in range(d):
-            out[perm[i0] - 1][perm[j0] - 1] = row[j0]
-    return tuple(tuple(r) for r in out)
+    perm = _check_perm(perm, a.dim)
+    inverse = sorted(range(a.dim), key=perm.__getitem__)
+    return tuple(tuple(map(a.rows[i0].__getitem__, inverse)) for i0 in inverse)
 
 
 def flip_column(a: FanoBottMatrix, k: int) -> FanoBottMatrix:
@@ -191,16 +187,14 @@ def flip_column(a: FanoBottMatrix, k: int) -> FanoBottMatrix:
     if not 1 <= k <= d:
         raise ValueError(f"column {k} out of range 1..{d}")
     k0 = k - 1
-    rows = [list(r) for r in a.rows]
-    for i0 in range(d):
-        cik = a.rows[i0][k0]
-        if cik == 0:
-            continue
-        for j0 in range(d):
-            if j0 == k0:
-                rows[i0][j0] = -cik
-            else:
-                rows[i0][j0] = a.rows[i0][j0] + a.rows[k0][j0] * cik
+    row_k = a.rows[k0]
+    rows = []
+    for row in a.rows:
+        cik = row[k0]
+        if cik != 0:
+            row = list(map(operator.add if cik == 1 else operator.sub, row, row_k))
+            row[k0] = -cik
+        rows.append(row)
     return validate(rows)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
 import pytest
@@ -22,6 +23,7 @@ from fanobott import (
     to_phi_sigma,
     validate,
 )
+from fanobott import matrix as matrix_module
 from fanobott.matrix import RowStructure, _classify_row, _matrix_at
 
 
@@ -86,7 +88,12 @@ def reference_classify_row(rows, p0):
 
 def reference_validate(grid):
     """Per-entry validation; the reference for validate's fast path."""
-    rows = tuple(tuple(int(x) for x in row) for row in grid)
+    rows = tuple(tuple(row) for row in grid)
+    for p0, row in enumerate(rows):
+        for j0, value in enumerate(row):
+            if type(value) is not int:
+                raise ValueError(
+                    f"entry ({p0 + 1},{j0 + 1}) = {value!r} is not an integer")
     d = len(rows)
     for p0, row in enumerate(rows):
         if len(row) != d:
@@ -110,12 +117,22 @@ def reference_validate(grid):
 
 
 def outcome(check, grid):
-    """The accepted rows, or the (row, violation) of the rejection."""
+    """The accepted rows, or the type and message of the rejection."""
     try:
         result = check(grid)
-    except InvalidMatrixError as exc:
-        return "rejected", exc.row, exc.violation
+    except ValueError as exc:
+        return "rejected", type(exc), str(exc)
     return "accepted", getattr(result, "rows", result)
+
+
+def reference_to_phi_sigma(a):
+    """phi and sigma from one _classify_row call per row."""
+    phi, sigma = [], []
+    for p0 in range(a.dim):
+        rs = _classify_row(a.rows, p0)
+        phi.append(a.dim + 1 if rs.kind == "zero" else rs.q)
+        sigma.append({"zero": None, "unit": "+", "copy": "-"}[rs.kind])
+    return PhiSigma(tuple(phi), tuple(sigma))
 
 
 @st.composite
@@ -135,11 +152,59 @@ def corrupted_grids(draw, max_dim=9):
     return grid
 
 
+@st.composite
+def malformed_grids(draw, max_dim=9):
+    """A corrupted grid with a non-integer entry or a shortened row."""
+    grid = draw(corrupted_grids(max_dim=max_dim))
+    i = draw(st.integers(min_value=0, max_value=len(grid) - 1))
+    if draw(st.booleans()):
+        j = draw(st.integers(min_value=0, max_value=len(grid) - 1))
+        grid[i][j] = draw(st.sampled_from([0.0, 1.0, -1.0, 0.5, True, False,
+                                           "1", None]))
+    else:
+        del grid[i][draw(st.integers(min_value=0, max_value=len(grid[i]) - 1)):]
+    return grid
+
+
+def random_admissible(rng, d):
+    """A random admissible d x d matrix with zero, unit and copy rows."""
+    phi = [rng.randint(i + 1, d + 1) for i in range(1, d + 1)]
+    sigma = [rng.choice("+-") if t <= d else None for t in phi]
+    return from_phi_sigma(phi_sigma(phi, sigma))
+
+
 class TestValidate:
     @settings(max_examples=400, deadline=None)
     @given(corrupted_grids())
     def test_agrees_with_per_entry_reference(self, grid):
         assert outcome(validate, grid) == outcome(reference_validate, grid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(corrupted_grids(max_dim=64))
+    def test_agrees_with_per_entry_reference_up_to_64(self, grid):
+        assert outcome(validate, grid) == outcome(reference_validate, grid)
+
+    @settings(max_examples=200, deadline=None)
+    @given(malformed_grids())
+    def test_malformed_grids_agree_with_reference(self, grid):
+        assert outcome(validate, grid) == outcome(reference_validate, grid)
+
+    def test_scan_calls_no_row_classifier_on_admissible_input(self, monkeypatch):
+        calls = []
+
+        def counting(rows, p0):
+            calls.append(p0)
+            return _classify_row(rows, p0)
+
+        monkeypatch.setattr(matrix_module, "_classify_row", counting)
+        m = random_admissible(random.Random(64), 64)
+        kinds = {row.count(0) for row in m.rows}
+        assert {63, 64} < kinds  # unit or zero rows, and copy rows
+        assert to_phi_sigma(validate(m.rows)) == reference_to_phi_sigma(m)
+        assert calls == []
+        with pytest.raises(InvalidMatrixError):
+            validate([[0, 1, 1], [0, 0, 0], [0, 0, 0]])
+        assert calls == [0]
 
 
     def test_accepts_reference(self, a6):
@@ -277,6 +342,43 @@ class TestPhiSigma:
                     else:
                         expected = 0
                     assert m.entry(i, j) == expected
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_matches_per_row_classifier(self, d):
+        stream = fb(d) if d <= 5 else list(enumerate_matrices(d))
+        for m in stream:
+            assert to_phi_sigma(m) == reference_to_phi_sigma(m)
+
+    @pytest.mark.parametrize("rows, row, violation", [
+        (((1, 0), (0, 0)), 1, "nonzero entry (1,1) on or below the diagonal"),
+        (((0, 2, 0), (0, 0, 0), (0, 0, 0)), 1, "entry (1,2) = 2 outside {-1,0,1}"),
+        (((0, 1, 1), (0, 0, 0), (0, 0, 0)), 1,
+         "leading +1 in column 2 but entry in column 3 is nonzero: not a unit row"),
+    ])
+    def test_unvalidated_matrix_raises_validate_error(self, rows, row, violation):
+        with pytest.raises(InvalidMatrixError) as err:
+            to_phi_sigma(FanoBottMatrix(rows))
+        assert (err.value.row, err.value.violation) == (row, violation)
+
+    @settings(max_examples=200, deadline=None)
+    @given(corrupted_grids())
+    def test_unvalidated_matrix_agrees_with_validate(self, grid):
+        rows = tuple(map(tuple, grid))
+        expected = outcome(validate, rows)
+        got = outcome(lambda g: to_phi_sigma(FanoBottMatrix(g)), rows)
+        if expected[0] == "accepted":
+            assert got == ("accepted", reference_to_phi_sigma(FanoBottMatrix(rows)))
+        else:
+            assert got == expected
+
+    @pytest.mark.parametrize("bad", [2.7, 2.0, True, "2"])
+    def test_rejects_non_integer_phi(self, bad):
+        with pytest.raises(ValueError) as err:
+            phi_sigma([bad, 3], ["+", None])
+        assert str(err.value) == f"phi(1) = {bad!r} is not an integer"
+        with pytest.raises(ValueError) as err:
+            from_phi_sigma(PhiSigma((2, bad), ("+", None)))
+        assert str(err.value) == f"phi(2) = {bad!r} is not an integer"
 
     def test_rejects_non_increasing_phi(self):
         with pytest.raises(InvalidPhiError):

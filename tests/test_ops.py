@@ -196,6 +196,61 @@ def reference_bfs_closure_classes(d, use_root_edge_flips=True):
     return list(groups.values())
 
 
+def reference_conjugate(a, perm):
+    """The per-entry double loop that conjugate replaced."""
+    d = a.dim
+    perm = ops_module._check_perm(perm, d)
+    out = [[0] * d for _ in range(d)]
+    for i0 in range(d):
+        row = a.rows[i0]
+        for j0 in range(d):
+            out[perm[i0] - 1][perm[j0] - 1] = row[j0]
+    return tuple(tuple(r) for r in out)
+
+
+def reference_flip_column(a, k):
+    """The per-entry double loop that flip_column replaced."""
+    d = a.dim
+    k0 = k - 1
+    rows = [list(r) for r in a.rows]
+    for i0 in range(d):
+        cik = a.rows[i0][k0]
+        if cik == 0:
+            continue
+        for j0 in range(d):
+            if j0 == k0:
+                rows[i0][j0] = -cik
+            else:
+                rows[i0][j0] = a.rows[i0][j0] + a.rows[k0][j0] * cik
+    return validate(rows)
+
+
+@st.composite
+def linear_extensions(draw, t):
+    """A random relabeling that keeps every label below its parent's."""
+    kids = children_map(t)
+    pending = {v: len(kids[v]) for v in range(1, t.size + 1)}
+    ready = [v for v in range(1, t.size + 1) if not pending[v]]
+    perm = [0] * t.size
+    for label in range(1, t.size + 1):
+        v = ready.pop(draw(st.integers(min_value=0, max_value=len(ready) - 1)))
+        perm[v - 1] = label
+        p = t.parents[v - 1]
+        if p:
+            pending[p] -= 1
+            if not pending[p]:
+                ready.append(p)
+    return tuple(perm)
+
+
+@st.composite
+def towers_with_perms(draw, max_size=16):
+    """An admissible matrix, an admissible relabeling and an arbitrary one."""
+    t = draw(forests(max_size=max_size))
+    return (to_matrix(t), draw(linear_extensions(t)),
+            tuple(draw(st.permutations(range(1, t.size + 1)))))
+
+
 def valid_edge_flip_pairs(m):
     """(k, l) with row l zero and row k = +/- e_l."""
     t = from_matrix(m)
@@ -215,8 +270,20 @@ class TestConjugate:
             validate(raw)
 
     def test_rejects_non_permutation(self, a6):
-        with pytest.raises(ValueError):
-            conjugate(a6, (1, 1, 3, 4, 5, 6))
+        for perm in [(1, 1, 3, 4, 5, 6), (1, 2), (0, 1, 2, 3, 4, 5),
+                     (1, 2, 3, 4, 5, 6, 7)]:
+            with pytest.raises(ValueError) as err:
+                conjugate(a6, perm)
+            assert str(err.value) == f"{perm} is not a permutation of 1..6"
+
+    @settings(max_examples=150, deadline=None)
+    @given(towers_with_perms())
+    def test_matches_per_entry_reference(self, case):
+        m, admissible, arbitrary = case
+        assert conjugate(m, arbitrary) == reference_conjugate(m, arbitrary)
+        rows = conjugate(m, admissible)
+        assert rows == reference_conjugate(m, admissible)
+        assert validate(rows).rows == rows
 
     @pytest.mark.parametrize("bad", [1.0, True, "1"])
     def test_rejects_non_integer_perm_entry(self, bad):
@@ -282,6 +349,20 @@ class TestColumnFlip:
         for m in fb(4):
             for k in range(1, 5):
                 assert flip_column(flip_column(m, k), k) == m
+
+    @settings(max_examples=150, deadline=None)
+    @given(towers_with_perms())
+    def test_matches_per_entry_reference(self, case):
+        m, admissible, _ = case
+        for a in (m, validate(conjugate(m, admissible))):
+            for k in range(1, a.dim + 1):
+                assert flip_column(a, k) == reference_flip_column(a, k)
+
+    @pytest.mark.parametrize("k", [0, 7, -1])
+    def test_rejects_column_out_of_range(self, a6, k):
+        with pytest.raises(ValueError) as err:
+            flip_column(a6, k)
+        assert str(err.value) == f"column {k} out of range 1..6"
 
 
 class TestRootEdgeFlip:
