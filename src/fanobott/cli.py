@@ -16,6 +16,12 @@ streams the enumeration with one diffeo code per matrix and checks that
 code and search class determine each other.  Memory follows the number
 of classes for `classify` and the search for `oracle`; nothing is
 printed before the work ends, so an error leaves stdout empty.
+
+A process loads only the modules its command runs: `matrix` and `forest`
+at import (the `--mode` choices come from `forest.MODES`), `ops` inside
+`witness`, `certify` and `oracle`, `fan` inside `certify`, and
+`cohomology` inside `sve` and `peel`.  `hashlib` waits for the first
+digest, which only `witness` and `certify` take.
 """
 
 from __future__ import annotations
@@ -23,10 +29,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
-from fanobott import fan, forest, ops
-from fanobott.cohomology import enumerate_sve, peel_signature
+from fanobott import forest
 from fanobott.matrix import (
     FanoBottError,
     FanoBottMatrix,
@@ -43,8 +47,10 @@ def _compact(data: object) -> str:
 
 
 def _load_json(arg: str) -> object:
-    text = arg if arg.lstrip().startswith(("[", "{")) else Path(arg).read_text()
-    return json.loads(text)
+    if arg.lstrip().startswith(("[", "{")):
+        return json.loads(arg)
+    with open(arg) as f:
+        return json.load(f)
 
 
 def _load_matrix(arg: str) -> FanoBottMatrix:
@@ -59,11 +65,13 @@ def _load_forest(arg: str) -> forest.SignedRootedForest:
 
 
 def _matrix_arg(args: argparse.Namespace) -> str:
-    if getattr(args, "inline", None) is not None:
-        return args.inline
-    if args.file is None:
-        raise ValueError("provide FILE or --inline")
-    return args.file
+    if args.inline is None:
+        if args.file is None:
+            raise ValueError("provide FILE or --inline")
+        return args.file
+    if args.file is not None:
+        raise ValueError("give FILE or --inline, not both")
+    return args.inline
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -108,6 +116,8 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
+    from fanobott import ops
+
     a = _load_matrix(args.first)
     b = _load_matrix(args.second)
     sequence = ops.find_witness(a, b)
@@ -119,6 +129,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    from fanobott import fan, ops
+
     a = _load_matrix(args.first)
     b = _load_matrix(args.second)
     witness = ops.witness_from_json(_load_json(args.witness))
@@ -132,12 +144,16 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sve(args: argparse.Namespace) -> int:
+    from fanobott.cohomology import enumerate_sve
+
     m = _load_matrix(_matrix_arg(args))
     print(_compact(enumerate_sve(m).to_json()))
     return 0
 
 
 def _cmd_peel(args: argparse.Namespace) -> int:
+    from fanobott.cohomology import peel_signature
+
     t = _load_forest(_matrix_arg(args))
     print(_compact(list(peel_signature(t))))
     return 0
@@ -150,6 +166,8 @@ def _cmd_forest_dot(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from fanobott import ops
+
     classes = ops.bfs_closure_classes(args.dim)
     bfs_classes = len(classes)
     class_of = {m: i for i, members in enumerate(classes) for m in members}

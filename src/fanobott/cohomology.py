@@ -19,12 +19,11 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from itertools import product
-from typing import Iterable, Sequence
 
 from fanobott.forest import SignedRootedForest, _kids_and_order, from_matrix
-from fanobott.matrix import FanoBottError, FanoBottMatrix, validate
+from fanobott.matrix import FanoBottError, FanoBottMatrix, Record, validate
 
 
 class NotALeafColumnError(FanoBottError, ValueError):
@@ -67,8 +66,7 @@ def is_sve(a: FanoBottMatrix, coeffs: Sequence[int]) -> bool:
     return all(v == 0 for v in square_reduce(a, coeffs).values())
 
 
-@dataclass(frozen=True)
-class SveInventory:
+class SveInventory(Record):
     """The square-vanishing elements, reported up to global sign.
 
     g lists the leaves p that admit a partnered form, recorded in g_prime

@@ -17,12 +17,11 @@ finally checks the row-by-row sign match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from operator import add
-from typing import Sequence
 
 from fanobott.forest import _kids_and_order, from_matrix
-from fanobott.matrix import FanoBottError, FanoBottMatrix
+from fanobott.matrix import FanoBottError, FanoBottMatrix, Record
 from fanobott.ops import (
     ColumnFlipStep,
     ConjugateStep,
@@ -46,8 +45,7 @@ class CertificateError(FanoBottError):
         super().__init__(reason if row is None else f"{reason} (row {row})")
 
 
-@dataclass(frozen=True)
-class RayMatrix:
+class RayMatrix(Record):
     """2d x d integer matrix: plus rays v_1..v_d, then minus rays."""
 
     rows: tuple[tuple[int, ...], ...]
@@ -76,8 +74,7 @@ def rays(a: FanoBottMatrix) -> RayMatrix:
     return RayMatrix(tuple(top + bottom))
 
 
-@dataclass(frozen=True)
-class MatchReport:
+class MatchReport(Record):
     """Row-by-row sign comparison of two ray matrices."""
 
     matches: bool
@@ -123,8 +120,7 @@ def rows_match_up_to_sign(m: RayMatrix | Sequence[Sequence[int]],
     return MatchReport(True, tuple(signs), None)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Transcript of a verified diffeomorphism certificate."""
 
     witness: OpSequence

@@ -30,12 +30,12 @@ all matrices with the same choices below it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from fanobott.matrix import (
     FanoBottError,
     FanoBottMatrix,
     PhiSigma,
+    Record,
     _require_int,
     _row_choices,
     from_phi_sigma,
@@ -67,8 +67,7 @@ class NotALeafError(FanoBottError, ValueError):
         super().__init__(f"vertex {vertex} is not a leaf")
 
 
-@dataclass(frozen=True)
-class SignedRootedForest:
+class SignedRootedForest(Record):
     """Forest on vertices 1..d.
 
     parents[i-1] is the parent label of vertex i, with 0 for roots;
@@ -227,8 +226,7 @@ def leaf_cut(t: SignedRootedForest, v: int) -> SignedRootedForest:
     return SignedRootedForest(tuple(parents), tuple(signs))
 
 
-@dataclass(frozen=True)
-class CanonicalCode:
+class CanonicalCode(Record):
     """Total-order code deciding equivalence in one mode."""
 
     mode: str

@@ -15,11 +15,9 @@ public interface; the stored row tuples are ordinary 0-based sequences.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, compress, product
-from typing import Iterable, Iterator, Sequence
 
 
 class FanoBottError(Exception):
@@ -57,8 +55,71 @@ def _require_int(name: str, value: object) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class RowStructure:
+class Record:
+    """Immutable value record: the base of the package's data classes.
+
+    A subclass lists its fields as annotations, in order; a class
+    attribute of the same name is that field's default.  Instances are
+    built by position or by keyword, compare equal to instances of the
+    same class with equal fields, hash as the tuple of their fields, and
+    refuse assignment and deletion, as a frozen dataclass does.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """Field values in order from positional and keyword arguments."""
+        name = cls.__qualname__
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} positional arguments "
+                            f"but {len(args)} were given")
+        values = list(args)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in cls.__dict__:
+                values.append(cls.__dict__[field])
+            else:
+                raise TypeError(f"{name}() missing required argument: {field!r}")
+        if kwargs:
+            field = next(iter(kwargs))
+            reason = "multiple values for" if field in fields else "an unexpected keyword"
+            raise TypeError(f"{name}() got {reason} argument {field!r}")
+        return values
+
+    # The instance dict holds exactly the fields, in order.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RowStructure(Record):
     """Template matched by one row.
 
     kind is "zero" for a zero row, "unit" for e_q, and "copy" for
@@ -70,11 +131,25 @@ class RowStructure:
     q: int | None = None
 
 
-@dataclass(frozen=True)
-class FanoBottMatrix:
-    """A validated admissible matrix.  Construct through :func:`validate`."""
+class FanoBottMatrix(Record):
+    """A validated admissible matrix.  Construct through :func:`validate`.
+
+    The three record methods are written out: the oracle builds and hashes
+    these in its inner loop.
+    """
 
     rows: tuple[tuple[int, ...], ...]
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        self.__dict__["rows"] = rows
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
 
     @property
     def dim(self) -> int:
@@ -93,6 +168,8 @@ class FanoBottMatrix:
 
     def digest(self) -> str:
         """Hex sha256 of the canonical JSON form."""
+        import hashlib
+
         payload = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
@@ -228,8 +305,7 @@ def matrix_from_json(data: object) -> FanoBottMatrix:
     return validate(entries)
 
 
-@dataclass(frozen=True)
-class PhiSigma:
+class PhiSigma(Record):
     """Parent map and edge signs read off the leading entries of the rows.
 
     phi[i-1] is the 1-based parent label of vertex i, with d+1 for roots.

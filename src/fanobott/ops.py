@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import operator
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 from fanobott.forest import _match_forests, from_matrix
@@ -31,6 +30,7 @@ from fanobott.matrix import (
     FanoBottError,
     FanoBottMatrix,
     PhiSigma,
+    Record,
     _require_int,
     enumerate_matrices,
     to_phi_sigma,
@@ -65,22 +65,19 @@ class DimensionMismatchError(FanoBottError, ValueError):
     """The two matrices have different sizes."""
 
 
-@dataclass(frozen=True)
-class ConjugateStep:
+class ConjugateStep(Record):
     """Relabel by perm: entry (i, j) moves to (perm[i-1], perm[j-1])."""
 
     perm: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ColumnFlipStep:
+class ColumnFlipStep(Record):
     """Column flip at column k."""
 
     k: int
 
 
-@dataclass(frozen=True)
-class RootEdgeFlipStep:
+class RootEdgeFlipStep(Record):
     """Root-edge flip at child row k under root row l."""
 
     k: int
@@ -90,8 +87,7 @@ class RootEdgeFlipStep:
 OpStep = Union[ConjugateStep, ColumnFlipStep, RootEdgeFlipStep]
 
 
-@dataclass(frozen=True)
-class OpSequence:
+class OpSequence(Record):
     """Replayable witness with digests of its source and target."""
 
     steps: tuple[OpStep, ...]

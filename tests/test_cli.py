@@ -22,6 +22,7 @@ from fanobott import (
     leaf_cut,
     make_forest,
     ops,
+    validate,
 )
 from fanobott.cli import main
 from test_forest import caterpillar_forest, path_forest
@@ -389,6 +390,16 @@ class TestErrorPaths:
         assert (code, out) == (2, "")
         assert err == f"error: {message} is not an integer\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["canon", "--mode", "diffeo"], ["sve"], ["peel"], ["forest-dot"],
+    ], ids=lambda argv: argv[0])
+    def test_file_and_inline_together_is_an_input_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"dim": 6, "entries": REFERENCE_6}))
+        code, out, err = run(capsys, *argv, str(path), "--inline", P2)
+        assert (code, out) == (2, "")
+        assert err == "error: give FILE or --inline, not both\n"
+
     def test_deep_path_never_exits_1(self, capsys):
         n = 600
         t = make_forest(list(range(2, n + 1)) + [0], ["+"] * (n - 1) + [""])
@@ -421,6 +432,45 @@ def test_import_leaves_numpy_out():
         capture_output=True, text=True,
     )
     assert (result.returncode, result.stdout) == (0, "False\n")
+
+
+def _cli_imports(*argv):
+    """Exit code, stdout and the modules imported by one fresh CLI process."""
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "fanobott.cli", *argv],
+        capture_output=True, text=True,
+    )
+    modules = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+               if line.startswith("import time:")}
+    return result.returncode, result.stdout, modules
+
+
+def test_import_loads_no_submodule():
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fanobott; print(sorted(m for m in sys.modules"
+         " if m.startswith('fanobott.')))"],
+        capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stdout) == (0, "[]\n")
+
+
+def test_validate_process_loads_only_what_it_runs():
+    rc, out, modules = _cli_imports("validate", "--inline", P2)
+    assert (rc, out) == (0, '{"dim":2,"valid":true}\n')
+    unused = {"dataclasses", "hashlib", "fanobott.ops", "fanobott.fan",
+              "fanobott.cohomology"}
+    assert modules & unused == set()
+    assert {"fanobott.matrix", "fanobott.forest"} <= modules
+
+
+def test_certify_process_end_to_end():
+    witness = ops.find_witness(validate(json.loads(P2)), validate(json.loads(P2_NEG)))
+    rc, out, modules = _cli_imports("certify", P2, P2_NEG, json.dumps(witness.to_json()))
+    assert rc == 0
+    assert json.loads(out)["certified"] is True
+    assert {"fanobott.ops", "fanobott.fan", "hashlib"} <= modules
+    assert "dataclasses" not in modules
 
 
 def test_import_starts_no_process_pool_machinery():
