@@ -145,21 +145,12 @@ class Certificate(Record):
         }
 
 
-def _permute_ray_rows(rows: list[list[int]], perm: tuple[int, ...],
-                      d: int) -> list[list[int]]:
-    out = [[0] * d for _ in range(2 * d)]
-    for i0 in range(d):
-        for j0 in range(d):
-            out[perm[i0] - 1][perm[j0] - 1] = rows[i0][j0]
-            out[d + perm[i0] - 1][perm[j0] - 1] = rows[d + i0][j0]
-    return out
-
-
 def _move_rays(ray_rows: list[list[int]], a: FanoBottMatrix,
                step: ConjugateStep | ColumnFlipStep) -> list[list[int]]:
     """Apply a relabeling or a column flip of a to its rays.
 
-    Relabeling permutes the columns and, blockwise, the rows.  A column
+    Relabeling permutes the columns and, blockwise, the rows, through the
+    inverse index of :func:`~fanobott.ops.conjugate`.  A column
     flip at k right-multiplies by the unimodular matrix with rows e_i off
     row k and -e_k + (row k of a) there.  That product is a column update,
     applied in place: a ray whose entry x in column k is nonzero has that
@@ -171,7 +162,9 @@ def _move_rays(ray_rows: list[list[int]], a: FanoBottMatrix,
     """
     d = a.dim
     if isinstance(step, ConjugateStep):
-        return _permute_ray_rows(ray_rows, step.perm, d)
+        inverse = sorted(range(d), key=step.perm.__getitem__)
+        return [list(map(ray_rows[i0].__getitem__, inverse))
+                for i0 in inverse + [d + i0 for i0 in inverse]]
     k0 = step.k - 1
     support = [(j0, v) for j0, v in enumerate(a.rows[k0]) if v]
     for row in ray_rows:

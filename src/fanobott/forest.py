@@ -30,6 +30,7 @@ all matrices with the same choices below it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 
 from fanobott.matrix import (
     FanoBottError,
@@ -150,17 +151,13 @@ def forest_from_json(data: object) -> SignedRootedForest:
 
 def children_map(t: SignedRootedForest) -> dict[int, tuple[int, ...]]:
     """Label -> tuple of child labels in increasing order."""
-    kids: dict[int, list[int]] = {v: [] for v in range(1, t.size + 1)}
-    for v in range(1, t.size + 1):
-        p = t.parents[v - 1]
-        if p != 0:
-            kids[p].append(v)
-    return {v: tuple(c) for v, c in kids.items()}
+    kids = _kids_and_order(t.parents)[0]
+    return {v: tuple(kids[v]) for v in range(1, t.size + 1)}
 
 
 def leaves(t: SignedRootedForest) -> tuple[int, ...]:
     """Labels of vertices without children, in increasing order."""
-    kids = children_map(t)
+    kids = _kids_and_order(t.parents)[0]
     return tuple(v for v in range(1, t.size + 1) if not kids[v])
 
 
@@ -190,11 +187,23 @@ def to_matrix(t: SignedRootedForest) -> FanoBottMatrix:
     return from_phi_sigma(PhiSigma(phi, sigma))
 
 
-def relabel(t: SignedRootedForest, pi: tuple[int, ...]) -> SignedRootedForest:
+def _check_perm(perm: Sequence[int], d: int) -> tuple[int, ...]:
+    """perm as a tuple if its entries are ints forming a permutation of 1..d.
+
+    Raises:
+        ValueError: naming the first entry whose type is not int (bool
+            included), or the whole perm if it is not a permutation.
+    """
+    perm = tuple(_require_int("perm entry", x) for x in perm)
+    if sorted(perm) != list(range(1, d + 1)):
+        raise ValueError(f"{perm} is not a permutation of 1..{d}")
+    return perm
+
+
+def relabel(t: SignedRootedForest, pi: Sequence[int]) -> SignedRootedForest:
     """Apply an arbitrary relabeling pi (vertex i becomes pi[i-1])."""
     d = t.size
-    if sorted(pi) != list(range(1, d + 1)):
-        raise ValueError(f"{pi} is not a permutation of 1..{d}")
+    pi = _check_perm(pi, d)
     parents = [0] * d
     signs = [""] * d
     for v in range(1, d + 1):
@@ -210,10 +219,7 @@ def leaf_cut(t: SignedRootedForest, v: int) -> SignedRootedForest:
     Raises:
         NotALeafError: if v has children.
     """
-    if not 1 <= v <= t.size:
-        raise NotALeafError(v)
-    kids = children_map(t)
-    if kids[v]:
+    if not 1 <= v <= t.size or v in t.parents:
         raise NotALeafError(v)
     parents = []
     signs = []

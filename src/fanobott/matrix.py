@@ -7,10 +7,10 @@ integer matrix with entries in {-1, 0, 1} in which every row p is one of
   (2) the unit row e_q for a single column q > p, or
   (3) (row q) - e_q for some column q > p.
 
-This module owns validation against these row templates, the row
-classification, the bijection with parent/sign data, and exhaustive
-enumeration.  Row and column labels are 1-based in every
-public interface; the stored row tuples are ordinary 0-based sequences.
+This module owns validation against these row templates, the bijection
+with parent/sign data, and exhaustive enumeration.  Row and column labels
+are 1-based in every public interface; the stored row tuples are ordinary
+0-based sequences.
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ def _require_int(name: str, value: object) -> int:
 class Record:
     """Immutable value record: the base of the package's data classes.
 
-    A subclass lists its fields as annotations, in order; a class
-    attribute of the same name is that field's default.  Instances are
+    A subclass lists its fields as annotations, in order.  Instances are
     built by position or by keyword, compare equal to instances of the
     same class with equal fields, hash as the tuple of their fields, and
     refuse assignment and deletion, as a frozen dataclass does.
@@ -87,12 +86,9 @@ class Record:
                             f"but {len(args)} were given")
         values = list(args)
         for field in fields[len(args):]:
-            if field in kwargs:
-                values.append(kwargs.pop(field))
-            elif field in cls.__dict__:
-                values.append(cls.__dict__[field])
-            else:
+            if field not in kwargs:
                 raise TypeError(f"{name}() missing required argument: {field!r}")
+            values.append(kwargs.pop(field))
         if kwargs:
             field = next(iter(kwargs))
             reason = "multiple values for" if field in fields else "an unexpected keyword"
@@ -117,18 +113,6 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-class RowStructure(Record):
-    """Template matched by one row.
-
-    kind is "zero" for a zero row, "unit" for e_q, and "copy" for
-    (row q) - e_q; q is the 1-based column of the leading entry and is
-    None exactly for zero rows.
-    """
-
-    kind: str
-    q: int | None = None
 
 
 class FanoBottMatrix(Record):
@@ -174,50 +158,33 @@ class FanoBottMatrix(Record):
         return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
-def _classify_row(rows: Sequence[Sequence[int]], p0: int) -> RowStructure:
-    """Match row p0 (0-based) against the three admissible templates.
+def _violation(rows: tuple[tuple[int, ...], ...], p0: int) -> str | None:
+    """The first condition row p0 (0-based) fails, or None if it has none.
 
-    validate calls this only on a grid its scan rejected, to name the
-    first row that matches no template and its first offending column.
+    rows must be d int rows of length d.  The checks run in validate's
+    order: a nonzero entry on or below the diagonal (only the leading
+    column can be one), then the first entry outside {-1, 0, 1}, then the
+    unit or copy template the leading entry selects.
     """
     row = rows[p0]
-    d = len(rows)
-    q0 = next(compress(range(len(row)), row), None)
-    if q0 is None:
-        return RowStructure("zero")
+    d = len(row)
+    q0 = next(compress(range(d), row), d)
+    if q0 == d:
+        return None
+    if q0 <= p0:
+        return f"nonzero entry ({p0 + 1},{q0 + 1}) on or below the diagonal"
+    for j0 in range(q0, d):
+        if row[j0] not in (-1, 0, 1):
+            return f"entry ({p0 + 1},{j0 + 1}) = {row[j0]} outside {{-1,0,1}}"
     if row[q0] == 1:
-        if any(row[q0 + 1:]):
-            bad = next(j for j in range(q0 + 1, d) if row[j] != 0)
-            raise InvalidMatrixError(
-                p0 + 1,
-                f"leading +1 in column {q0 + 1} but entry in column {bad + 1} "
-                "is nonzero: not a unit row",
-            )
-        return RowStructure("unit", q0 + 1)
-    if row[q0 + 1:] != rows[q0][q0 + 1:]:
-        bad = next((j for j in range(q0 + 1, d) if row[j] != rows[q0][j]), None)
-        if bad is not None:
-            raise InvalidMatrixError(
-                p0 + 1,
-                f"leading -1 in column {q0 + 1} but entry in column {bad + 1} "
-                f"differs from row {q0 + 1}: not a copy row",
-            )
-    return RowStructure("copy", q0 + 1)
-
-
-def _reject_entries(row: tuple[int, ...], p0: int) -> None:
-    """Name the first entry of row p0 on or below the diagonal or out of range."""
-    for j0, value in enumerate(row):
-        if j0 <= p0 and value != 0:
-            raise InvalidMatrixError(
-                p0 + 1,
-                f"nonzero entry ({p0 + 1},{j0 + 1}) on or below the diagonal",
-            )
-        if value not in (-1, 0, 1):
-            raise InvalidMatrixError(
-                p0 + 1,
-                f"entry ({p0 + 1},{j0 + 1}) = {value} outside {{-1,0,1}}",
-            )
+        template, fault = (0,) * d, "is nonzero: not a unit row"
+    else:
+        template, fault = rows[q0], f"differs from row {q0 + 1}: not a copy row"
+    for j0 in range(q0 + 1, d):
+        if row[j0] != template[j0]:
+            return (f"leading {row[q0]:+d} in column {q0 + 1} but entry in "
+                    f"column {j0 + 1} {fault}")
+    return None
 
 
 def _accept(rows: tuple[tuple[int, ...], ...]) -> PhiSigma:
@@ -227,54 +194,50 @@ def _accept(rows: tuple[tuple[int, ...], ...]) -> PhiSigma:
     leading column comes from ``compress`` (d for a zero row), and one
     comparison accepts the row: ``row.count(0) == d - 1`` for a unit row,
     and for a copy row a tail equal to the leading column's row, which is
-    scanned too.  A rejected grid is walked again in validate's order, to
-    raise the error of its lowest offending row.
+    scanned too.  The scan checks no range: a copy row it accepts can
+    carry an out-of-range entry of the later row it copies.  So when it
+    rejects row r, the error names the lowest row up to r with a
+    :func:`_violation`.
     """
     d = len(rows)
+    if not _INT_ONLY.issuperset(map(type, chain.from_iterable(rows))):
+        p0, j0, value = next((p0, j0, x) for p0, row in enumerate(rows)
+                             for j0, x in enumerate(row) if type(x) is not int)
+        raise ValueError(f"entry ({p0 + 1},{j0 + 1}) = {value!r} is not an integer")
+    if not {d}.issuperset(map(len, rows)):
+        p0, size = next((p0, len(row)) for p0, row in enumerate(rows) if len(row) != d)
+        raise InvalidMatrixError(p0 + 1, f"row has {size} entries, expected {d}")
     cols = range(d)
     phi: list[int] = []
     sigma: list[str | None] = []
-    if (_INT_ONLY.issuperset(map(type, chain.from_iterable(rows)))
-            and {d}.issuperset(map(len, rows))):
-        for p0, row in enumerate(rows):
-            q0 = next(compress(cols, row), d)
-            if q0 == d:
-                sign = None
-            elif q0 <= p0:
-                break
-            elif row[q0] == 1 and row.count(0) == d - 1:
-                sign = "+"
-            elif row[q0] == -1 and row[q0 + 1:] == rows[q0][q0 + 1:]:
-                sign = "-"
-            else:
-                break
-            phi.append(q0 + 1)
-            sigma.append(sign)
+    for r, row in enumerate(rows):
+        q0 = next(compress(cols, row), d)
+        if q0 == d:
+            sign = None
+        elif q0 <= r:
+            break
+        elif row[q0] == 1 and row.count(0) == d - 1:
+            sign = "+"
+        elif row[q0] == -1 and row[q0 + 1:] == rows[q0][q0 + 1:]:
+            sign = "-"
         else:
-            return PhiSigma(tuple(phi), tuple(sigma))
-    for p0, row in enumerate(rows):
-        if not _INT_ONLY.issuperset(map(type, row)):
-            j0, value = next((j0, x) for j0, x in enumerate(row) if type(x) is not int)
-            raise ValueError(f"entry ({p0 + 1},{j0 + 1}) = {value!r} is not an integer")
-    for p0, row in enumerate(rows):
-        if len(row) != d:
-            raise InvalidMatrixError(
-                p0 + 1, f"row has {len(row)} entries, expected {d}"
-            )
-    for p0, row in enumerate(rows):
-        if any(row[:p0 + 1]) or min(row) < -1 or max(row) > 1:
-            _reject_entries(row, p0)
-        _classify_row(rows, p0)
-    raise AssertionError("the scan rejected a grid with no offending row")
+            break
+        phi.append(q0 + 1)
+        sigma.append(sign)
+    else:
+        return PhiSigma(tuple(phi), tuple(sigma))
+    raise next(InvalidMatrixError(p0 + 1, violation) for p0 in range(r + 1)
+               if (violation := _violation(rows, p0)))
 
 
 def validate(grid: Sequence[Sequence[int]]) -> FanoBottMatrix:
     """Check a square integer grid and wrap it.
 
-    One scan accepts the grid (see :func:`_accept`).  Only a rejected grid
-    is walked again, row by row, to report the lowest offending row: first
-    a nonzero entry on or below the diagonal, then an entry outside
-    {-1, 0, 1}, then a row matching none of the three row templates.
+    One scan accepts the grid (see :func:`_accept`).  A rejected grid
+    reports its lowest offending row and, within the row, the first failed
+    condition: a nonzero entry on or below the diagonal, then an entry
+    outside {-1, 0, 1}, then a row matching none of the three row
+    templates.
 
     Raises:
         ValueError: naming the first entry whose type is not int (bool

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import operator
 from collections import defaultdict
-from typing import Iterable, Iterator, Sequence, Union
+from collections.abc import Iterable, Iterator, Sequence
 
-from fanobott.forest import _match_forests, from_matrix
+from fanobott.forest import _check_perm, _match_forests, from_matrix
 from fanobott.matrix import (
     FanoBottError,
     FanoBottMatrix,
@@ -84,7 +84,7 @@ class RootEdgeFlipStep(Record):
     l: int
 
 
-OpStep = Union[ConjugateStep, ColumnFlipStep, RootEdgeFlipStep]
+OpStep = ConjugateStep | ColumnFlipStep | RootEdgeFlipStep
 
 
 class OpSequence(Record):
@@ -147,13 +147,6 @@ def witness_from_json(data: object) -> OpSequence:
             raise ValueError(f"{key} = {sha!r} is not a string")
         shas.append(sha)
     return OpSequence(tuple(step_from_json(s) for s in data["steps"]), *shas)
-
-
-def _check_perm(perm: Sequence[int], d: int) -> tuple[int, ...]:
-    perm = tuple(_require_int("perm entry", x) for x in perm)
-    if sorted(perm) != list(range(1, d + 1)):
-        raise ValueError(f"{perm} is not a permutation of 1..{d}")
-    return perm
 
 
 def identity_perm(d: int) -> tuple[int, ...]:
@@ -277,15 +270,10 @@ def replay(a: FanoBottMatrix,
 
 
 def _valid_root_edge_pairs(ps: PhiSigma) -> list[tuple[int, int]]:
-    """(k, l) pairs where the root-edge flip applies."""
-    d = ps.dim
-    roots = [v for v in range(1, d + 1) if ps.phi[v - 1] == d + 1]
-    pairs = []
-    for l in roots:
-        for k in range(1, d + 1):
-            if ps.phi[k - 1] == l:
-                pairs.append((k, l))
-    return pairs
+    """(k, l) pairs where the root-edge flip applies, by root l, then k."""
+    d, phi = ps.dim, ps.phi
+    pairs = [(k, l) for k, l in enumerate(phi, 1) if l <= d and phi[l - 1] > d]
+    return sorted(pairs, key=lambda pair: pair[1])
 
 
 def _admissible_perms(phi: Sequence[int]) -> list[tuple[int, ...]]:

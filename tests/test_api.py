@@ -38,7 +38,7 @@ DEFINED_WITHOUT_MODULE = {
 }
 
 RECORDS = [
-    matrix.RowStructure, matrix.FanoBottMatrix, matrix.PhiSigma,
+    matrix.FanoBottMatrix, matrix.PhiSigma,
     forest.SignedRootedForest, forest.CanonicalCode,
     fan.RayMatrix, fan.MatchReport, fan.Certificate,
     ops.ConjugateStep, ops.ColumnFlipStep, ops.RootEdgeFlipStep, ops.OpSequence,
@@ -88,13 +88,8 @@ class TestNamespace:
 
 
 def _twin(cls):
-    """A frozen dataclass with the record's name, fields and defaults."""
-    specs = []
-    for name in cls.__annotations__:
-        if name in vars(cls):
-            specs.append((name, object, dataclasses.field(default=vars(cls)[name])))
-        else:
-            specs.append((name, object))
+    """A frozen dataclass with the record's name and fields."""
+    specs = [(name, object) for name in cls.__annotations__]
     return dataclasses.make_dataclass(cls.__name__, specs, frozen=True)
 
 
@@ -156,16 +151,6 @@ class TestRecordAgainstFrozenDataclass:
     def test_pickle_round_trip(self, cls):
         record = cls(*_values(cls, "a"))
         assert pickle.loads(pickle.dumps(record)) == record
-
-
-def test_row_structure_default_matches_dataclass():
-    twin = _twin(matrix.RowStructure)
-    assert matrix.RowStructure.q is None
-    assert repr(matrix.RowStructure("zero")) == repr(twin("zero"))
-    assert matrix.RowStructure("zero") == matrix.RowStructure(kind="zero", q=None)
-    assert hash(matrix.RowStructure("zero")) == hash(twin("zero"))
-    with pytest.raises(TypeError):
-        matrix.RowStructure(q=3)
 
 
 def test_records_of_different_classes_are_unequal():

@@ -235,6 +235,17 @@ class TestRelabel:
         assert relabeled.parents == (2, 0)
         assert relabeled.signs == ("+", "")
 
+    @pytest.mark.parametrize("pi, message", [
+        ((2, True), "perm entry = True is not an integer"),
+        ((2.0, 1.0), "perm entry = 2.0 is not an integer"),
+        ((2, 2), "(2, 2) is not a permutation of 1..2"),
+    ])
+    def test_rejects_non_permutation(self, pi, message):
+        t = make_forest([2, 0], ["+", ""])
+        with pytest.raises(ValueError) as err:
+            relabel(t, pi)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_relabeled_forests_convert(self, d):
         import random

@@ -24,7 +24,7 @@ from fanobott import (
     validate,
 )
 from fanobott import matrix as matrix_module
-from fanobott.matrix import RowStructure, _classify_row, _matrix_at
+from fanobott.matrix import _matrix_at, _violation
 
 
 def all_upper_triangular_grids(d):
@@ -60,12 +60,16 @@ def row_is_admissible(rows, p):
 
 
 def reference_classify_row(rows, p0):
-    """Per-entry template matcher; the reference for _classify_row."""
+    """Per-entry template matcher: (kind, leading 1-based column) of row p0.
+
+    kind is "zero" (column None), "unit" or "copy"; a row matching neither
+    template raises validate's error.
+    """
     row = rows[p0]
     d = len(rows)
     q0 = next((j for j, v in enumerate(row) if v != 0), None)
     if q0 is None:
-        return RowStructure("zero")
+        return "zero", None
     lead = row[q0]
     if lead == 1:
         bad = next((j for j in range(q0 + 1, d) if row[j] != 0), None)
@@ -75,7 +79,7 @@ def reference_classify_row(rows, p0):
                 f"leading +1 in column {q0 + 1} but entry in column {bad + 1} "
                 "is nonzero: not a unit row",
             )
-        return RowStructure("unit", q0 + 1)
+        return "unit", q0 + 1
     bad = next((j for j in range(q0 + 1, d) if row[j] != rows[q0][j]), None)
     if bad is not None:
         raise InvalidMatrixError(
@@ -83,7 +87,7 @@ def reference_classify_row(rows, p0):
             f"leading -1 in column {q0 + 1} but entry in column {bad + 1} "
             f"differs from row {q0 + 1}: not a copy row",
         )
-    return RowStructure("copy", q0 + 1)
+    return "copy", q0 + 1
 
 
 def reference_validate(grid):
@@ -126,12 +130,12 @@ def outcome(check, grid):
 
 
 def reference_to_phi_sigma(a):
-    """phi and sigma from one _classify_row call per row."""
+    """phi and sigma from one reference_classify_row call per row."""
     phi, sigma = [], []
     for p0 in range(a.dim):
-        rs = _classify_row(a.rows, p0)
-        phi.append(a.dim + 1 if rs.kind == "zero" else rs.q)
-        sigma.append({"zero": None, "unit": "+", "copy": "-"}[rs.kind])
+        kind, q = reference_classify_row(a.rows, p0)
+        phi.append(a.dim + 1 if kind == "zero" else q)
+        sigma.append({"zero": None, "unit": "+", "copy": "-"}[kind])
     return PhiSigma(tuple(phi), tuple(sigma))
 
 
@@ -194,9 +198,9 @@ class TestValidate:
 
         def counting(rows, p0):
             calls.append(p0)
-            return _classify_row(rows, p0)
+            return _violation(rows, p0)
 
-        monkeypatch.setattr(matrix_module, "_classify_row", counting)
+        monkeypatch.setattr(matrix_module, "_violation", counting)
         m = random_admissible(random.Random(64), 64)
         kinds = {row.count(0) for row in m.rows}
         assert {63, 64} < kinds  # unit or zero rows, and copy rows
@@ -205,7 +209,6 @@ class TestValidate:
         with pytest.raises(InvalidMatrixError):
             validate([[0, 1, 1], [0, 0, 0], [0, 0, 0]])
         assert calls == [0]
-
 
     def test_accepts_reference(self, a6):
         assert a6.dim == 6
@@ -251,6 +254,18 @@ class TestValidate:
             validate([[0, 1, 1], [0, 0, 2], [0, 0, 0]])
         assert err.value.row == 1
 
+    @pytest.mark.parametrize("grid, violation", [
+        # the scan accepts row 1 as a copy of row 2 and stops at row 2
+        ([[0, -1, 5], [0, 0, 5], [0, 0, 0]], "entry (1,3) = 5 outside {-1,0,1}"),
+        # row 1 copies row 2, which copies row 3; the scan stops at row 3
+        ([[0, -1, -1, 5], [0, 0, -1, 5], [0, 0, 0, 5], [0, 0, 0, 0]],
+         "entry (1,4) = 5 outside {-1,0,1}"),
+    ])
+    def test_copy_row_reports_inherited_range_fault(self, grid, violation):
+        with pytest.raises(InvalidMatrixError) as err:
+            validate(grid)
+        assert (err.value.row, err.value.violation) == (1, violation)
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_independent_template_oracle(self, d):
         for grid in all_upper_triangular_grids(d):
@@ -264,20 +279,23 @@ class TestValidate:
 
 
 class TestRowStructure:
-    """The row classifier behind validate and to_phi_sigma (0-based rows)."""
+    """The three row templates, as the reference and _violation see them."""
 
     def test_reference_rows(self, a6):
-        assert _classify_row(a6.rows, 0) == RowStructure("unit", 3)
-        assert _classify_row(a6.rows, 1) == RowStructure("copy", 3)
-        assert _classify_row(a6.rows, 5) == RowStructure("zero")
+        assert reference_classify_row(a6.rows, 0) == ("unit", 3)
+        assert reference_classify_row(a6.rows, 1) == ("copy", 3)
+        assert reference_classify_row(a6.rows, 5) == ("zero", None)
+        assert [_violation(a6.rows, p0) for p0 in range(6)] == [None] * 6
 
     def test_last_row_always_zero(self):
         for m in fb(4):
-            assert _classify_row(m.rows, 3).kind == "zero"
+            ps = to_phi_sigma(m)
+            assert (ps.phi[3], ps.sigma[3]) == (5, None)
+            assert m.rows[3] == (0,) * 4
 
     def test_out_of_range(self, a6):
         with pytest.raises(IndexError):
-            _classify_row(a6.rows, 6)
+            _violation(a6.rows, 6)
 
 
 class TestPhiSigma:
