@@ -6,16 +6,18 @@ disagreement), 2 for usage or input errors and for any internal error,
 which is reported on stderr without a traceback.  Matrix arguments accept a
 file path or inline JSON (anything starting with "[" or "{").
 
-`classify` builds no matrix or forest per labelled matrix: one
-depth-first pass over the row choices builds each subtree code once per
-prefix of choices and keeps, for each forest code, the smallest position
-in the enumeration stream.  The representatives are the matrices at those
-positions, printed in stream order, which is the first member of each
-class in the stream.  `oracle` runs the move-graph search first, then
-streams the enumeration with one diffeo code per matrix and checks that
-code and search class determine each other.  Memory follows the number
-of classes for `classify` and the search for `oracle`; nothing is
-printed before the work ends, so an error leaves stdout empty.
+`classify` builds no matrix or forest per labelled matrix: one forward
+pass over the row choices, a layer per vertex, keeps each state of root
+codes and pending child tokens once, with the smallest position in the
+enumeration stream that reaches it, and ends with the smallest position
+of each forest code.  The representatives are the matrices at those
+positions, decoded with one choice table and printed in stream order,
+which is the first member of each class in the stream.  `oracle` runs
+the move-graph search first, then streams the enumeration with one
+diffeo code per matrix and checks that code and search class determine
+each other.  Memory follows the states of one layer and the classes for
+`classify`, and the search for `oracle`; nothing is printed before the
+work ends, so an error leaves stdout empty.
 
 A process loads only the modules its command runs: `matrix` and `forest`
 at import (the `--mode` choices come from `forest.MODES`), `ops` inside
@@ -35,7 +37,7 @@ from fanobott.matrix import (
     FanoBottError,
     FanoBottMatrix,
     InvalidMatrixError,
-    _matrix_at,
+    _matrices_at,
     count_matrices,
     enumerate_matrices,
     matrix_from_json,
@@ -96,8 +98,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     first = forest._first_positions(args.dim, args.mode)
     print(_compact({"classes": len(first), "dim": args.dim, "mode": args.mode}))
-    for position in sorted(first.values()):
-        print(_compact(_matrix_at(args.dim, position).to_json()))
+    for m in _matrices_at(args.dim, sorted(first.values())):
+        print(_compact(m.to_json()))
     return 0
 
 

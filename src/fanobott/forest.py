@@ -24,8 +24,9 @@ works and labels need not increase toward the roots.  The witness matcher
 reuses that pass: it pairs the vertices of two equivalent forests by their
 subtree codes and reads each vertex's flip from the pass's choices.  The
 same per-vertex rule also codes every matrix of one size at once, in a
-depth-first pass over the row choices that shares each subtree code among
-all matrices with the same choices below it.
+forward pass over layers of row choices that merges the prefixes with the
+same root codes and pending child tokens into one state, so the work and
+memory follow the states of one layer, not the labelled matrices.
 """
 
 from __future__ import annotations
@@ -256,7 +257,7 @@ def _kids_and_order(parents: tuple[int, ...]) -> tuple[list[list[int]], list[int
     return kids, order
 
 
-def _vertex_code(tokens: list[tuple[str, str]], mode: str, root: bool
+def _vertex_code(tokens: Sequence[tuple[str, str]], mode: str, root: bool
                  ) -> tuple[str, bool]:
     """Code of one vertex from its children's (code, sign) tokens.
 
@@ -302,57 +303,43 @@ def _bottom_up(t: SignedRootedForest, mode: str
 def _first_positions(d: int, mode: str) -> dict[str, int]:
     """Each forest code of the d x d matrices with its smallest stream position.
 
-    One depth-first pass over the row choices replaces building a forest
-    per matrix: vertex 1 chooses first and vertex d last.  Children carry
-    smaller labels than their parents, so once vertices 1..k-1 have
-    chosen, the subtree at k is complete and its code is built once for
-    that whole prefix; each choice then files the code as a root or as a
-    (code, sign) token of the chosen parent.  A matrix's stream position
-    is the mixed-radix index of its choices with row 1 fastest, as in
-    :func:`~fanobott.matrix.enumerate_matrices`.
+    A forward pass over layers replaces building a forest per matrix:
+    vertex k chooses at layer k.  Children carry smaller labels than their
+    parents, so once vertices 1..k-1 have chosen, the subtree at k is
+    complete, and what the rest of the pass can see is the state: the
+    sorted root codes so far and the sorted (code, sign) tokens of each
+    pending vertex k..d.  A matrix's stream position is the sum over its
+    rows of choice index times row weight, with row 1 fastest as in
+    :func:`~fanobott.matrix.enumerate_matrices`, so each state keeps only
+    the smallest position that reaches it.  Layer k builds vertex k's code
+    once per state and files it, for each choice of row k, as a root or as
+    a token of the chosen parent.  After layer d every vertex is filed, and
+    distinct root tuples join to distinct forest codes.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if d == 1:  # the one matrix is a single childless root
-        return {_vertex_code([], mode, True)[0]: 0}
-    per_row = _row_choices(d)
-    weights = [1]
-    for choices in per_row[:-1]:
-        weights.append(weights[-1] * len(choices))
-    below: list[list] = [[] for _ in range(d + 2)]
-    roots = below[d + 1]  # root codes; below[q] holds the tokens of q's children
-    diffeo = mode == DIFFEO
-    first: dict[str, int] = {}
-
-    def frame(k: int, base: int) -> list:
-        """Vertex k, the position its prefix fixes, its filings, its next choice."""
-        code = _vertex_code(below[k], mode, False)[0]
-        root_code = _vertex_code(below[k], mode, True)[0] if diffeo else code
-        filings = [(roots, root_code) if q > d else (below[q], (code, s))
-                   for q, s in per_row[k - 1]]
-        return [k, base, filings, 0]
-
-    # Vertex d has the one choice of a root, so the pass ends at vertex d-1.
-    stack = [frame(1, 0)]
-    while stack:
-        top = stack[-1]
-        k, base, filings, j = top
-        if j:
-            filings[j - 1][0].pop()
-        if j == len(filings):
-            stack.pop()
-            continue
-        target, item = filings[j]
-        target.append(item)
-        top[3] = j + 1
-        position = base + j * weights[k - 1]
-        if k < d - 1:
-            stack.append(frame(k + 1, position))
-            continue
-        code = "|".join(sorted([*roots, _vertex_code(below[d], mode, True)[0]]))
-        if first.get(code, position) >= position:
-            first[code] = position
-    return first
+    states: dict[tuple, int] = {((), ((),) * d): 0}
+    weight = 1
+    for k, choices in enumerate(_row_choices(d), 1):
+        if mode == ROOTED:  # rooted codes ignore the signs, so the states drop them
+            choices = [(q, "") for q, _ in choices]
+        layer: dict[tuple, int] = {}
+        for (roots, (tokens, *pending)), base in states.items():
+            code = _vertex_code(tokens, mode, False)[0]
+            root_code = _vertex_code(tokens, mode, True)[0] if mode == DIFFEO else code
+            for j, (q, s) in enumerate(choices):
+                if q > d:
+                    state = (tuple(sorted((*roots, root_code))), tuple(pending))
+                else:
+                    filed = pending.copy()
+                    filed[q - k - 1] = tuple(sorted((*filed[q - k - 1], (code, s))))
+                    state = (roots, tuple(filed))
+                position = base + j * weight
+                if layer.get(state, position) >= position:
+                    layer[state] = position
+        states = layer
+        weight *= len(choices)
+    return {"|".join(roots): position for (roots, _), position in states.items()}
 
 
 def canonical_code(t: SignedRootedForest, mode: str) -> CanonicalCode:

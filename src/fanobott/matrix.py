@@ -15,7 +15,6 @@ are 1-based in every public interface; the stored row tuples are ordinary
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, compress, product
 
@@ -46,6 +45,7 @@ class InvalidPhiError(FanoBottError, ValueError):
 
 
 _INT_ONLY = frozenset({int})
+_JSON_LISTS = str.maketrans("()", "[]", " ")
 
 
 def _require_int(name: str, value: object) -> int:
@@ -151,10 +151,14 @@ class FanoBottMatrix(Record):
         return {"dim": self.dim, "entries": [list(row) for row in self.rows]}
 
     def digest(self) -> str:
-        """Hex sha256 of the canonical JSON form."""
+        """Hex sha256 of the compact JSON form with sorted keys.
+
+        The rows' repr, in brackets and without spaces, is that JSON
+        (a 1-tuple row "(0,)" becomes "[0]")."""
         import hashlib
 
-        payload = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        entries = str(self.rows).translate(_JSON_LISTS).replace(",]", "]")
+        payload = f'{{"dim":{len(self.rows)},"entries":{entries}}}'
         return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
@@ -382,16 +386,23 @@ def enumerate_matrices(d: int) -> Iterator[FanoBottMatrix]:
         yield FanoBottMatrix(_rows_bottom_up(d, combo))
 
 
+def _matrices_at(d: int, positions: Iterable[int]) -> Iterator[FanoBottMatrix]:
+    """Matrices at 0-based positions of :func:`enumerate_matrices`, one choice table."""
+    per_row = _row_choices(d)
+    total = count_matrices(d)
+    for position in positions:
+        if not 0 <= position < total:
+            raise ValueError(f"position {position} out of range for d = {d}")
+        combo = []
+        for choices in per_row:
+            position, j = divmod(position, len(choices))
+            combo.append(choices[j])
+        yield FanoBottMatrix(_rows_bottom_up(d, reversed(combo)))
+
+
 def _matrix_at(d: int, position: int) -> FanoBottMatrix:
     """The matrix at the given 0-based position of :func:`enumerate_matrices`."""
-    per_row = _row_choices(d)
-    if not 0 <= position < count_matrices(d):
-        raise ValueError(f"position {position} out of range for d = {d}")
-    combo = []
-    for choices in per_row:
-        position, j = divmod(position, len(choices))
-        combo.append(choices[j])
-    return FanoBottMatrix(_rows_bottom_up(d, reversed(combo)))
+    return next(_matrices_at(d, [position]))
 
 
 def count_matrices(d: int) -> int:

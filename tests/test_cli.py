@@ -121,6 +121,19 @@ class TestClassify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == golden["sha256"]
 
+    # d=8: the counts of enumerate-then-deduplicate.  Rooted forests on d
+    # vertices are rooted trees on d+1 (OEIS A000081): 719 and 1842.
+    @pytest.mark.parametrize("d, mode, classes", [
+        (8, "rooted", 286), (8, "variety", 1105), (8, "diffeo", 639),
+        (9, "rooted", 719), (10, "rooted", 1842),
+    ])
+    def test_class_counts_past_d7(self, capsys, d, mode, classes):
+        code, out, _ = run(capsys, "classify", "-d", str(d), "--mode", mode)
+        lines = out.splitlines()
+        assert code == 0
+        assert json.loads(lines[0]) == {"classes": classes, "dim": d, "mode": mode}
+        assert len(set(lines[1:])) == classes
+
     def test_builds_no_forest_per_matrix(self, capsys, monkeypatch):
         expected = reference_classify(5, DIFFEO)
 

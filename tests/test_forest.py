@@ -28,7 +28,14 @@ from fanobott import (
     to_matrix,
     validate,
 )
-from fanobott.forest import LEAF_ATOM, _bottom_up, _first_positions, _kids_and_order
+from fanobott.forest import (
+    LEAF_ATOM,
+    _bottom_up,
+    _first_positions,
+    _kids_and_order,
+    _vertex_code,
+)
+from fanobott.matrix import _row_choices
 
 FLIP = {"+": "-", "-": "+"}
 
@@ -100,6 +107,56 @@ def inline_bottom_up(t, mode):
                 flipped[v] = True
             codes[v] = "(" + ",".join([code + s for code, s in given]) + ")"
     return kids, codes, flipped
+
+
+def reference_first_positions(d, mode):
+    """The depth-first pass the layered pass replaced: one leaf per matrix.
+
+    Vertex 1 chooses first and vertex d last.  Once vertices 1..k-1 have
+    chosen, the code of vertex k is built once for that prefix; each
+    choice files it as a root or as a (code, sign) token of the chosen
+    parent, and each leaf keeps its forest code's smallest position.
+    """
+    if d == 1:  # the one matrix is a single childless root
+        return {_vertex_code([], mode, True)[0]: 0}
+    per_row = _row_choices(d)
+    weights = [1]
+    for choices in per_row[:-1]:
+        weights.append(weights[-1] * len(choices))
+    below = [[] for _ in range(d + 2)]
+    roots = below[d + 1]  # root codes; below[q] holds the tokens of q's children
+    diffeo = mode == DIFFEO
+    first = {}
+
+    def frame(k, base):
+        """Vertex k, the position its prefix fixes, its filings, its next choice."""
+        code = _vertex_code(below[k], mode, False)[0]
+        root_code = _vertex_code(below[k], mode, True)[0] if diffeo else code
+        filings = [(roots, root_code) if q > d else (below[q], (code, s))
+                   for q, s in per_row[k - 1]]
+        return [k, base, filings, 0]
+
+    # Vertex d has the one choice of a root, so the pass ends at vertex d-1.
+    stack = [frame(1, 0)]
+    while stack:
+        top = stack[-1]
+        k, base, filings, j = top
+        if j:
+            filings[j - 1][0].pop()
+        if j == len(filings):
+            stack.pop()
+            continue
+        target, item = filings[j]
+        target.append(item)
+        top[3] = j + 1
+        position = base + j * weights[k - 1]
+        if k < d - 1:
+            stack.append(frame(k + 1, position))
+            continue
+        code = "|".join(sorted([*roots, _vertex_code(below[d], mode, True)[0]]))
+        if first.get(code, position) >= position:
+            first[code] = position
+    return first
 
 
 def path_forest(n, signs=None):
@@ -337,6 +394,11 @@ class TestCanonicalCodes:
             assert len({canonical_code(t, VARIETY).code for t in members}) == 1
         for members in by_variety.values():
             assert len({canonical_code(t, DIFFEO).code for t in members}) == 1
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
+    def test_layered_pass_matches_depth_first_reference(self, d, mode):
+        assert _first_positions(d, mode) == reference_first_positions(d, mode)
 
     @settings(max_examples=300, deadline=None)
     @given(forests(max_size=9), st.data())

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from itertools import product
 
@@ -140,15 +142,22 @@ def reference_to_phi_sigma(a):
 
 
 @st.composite
-def corrupted_grids(draw, max_dim=9):
-    """An admissible matrix with up to two entries overwritten."""
+def admissible_matrices(draw, max_dim=9):
+    """An admissible matrix from random parent targets and signs."""
     d = draw(st.integers(min_value=1, max_value=max_dim))
     phi, sigma = [], []
     for i in range(1, d + 1):
         target = draw(st.integers(min_value=i + 1, max_value=d + 1))
         phi.append(target)
         sigma.append(draw(st.sampled_from("+-")) if target <= d else None)
-    grid = [list(row) for row in from_phi_sigma(phi_sigma(phi, sigma)).rows]
+    return from_phi_sigma(phi_sigma(phi, sigma))
+
+
+@st.composite
+def corrupted_grids(draw, max_dim=9):
+    """An admissible matrix with up to two entries overwritten."""
+    grid = [list(row) for row in draw(admissible_matrices(max_dim=max_dim)).rows]
+    d = len(grid)
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
         i = draw(st.integers(min_value=0, max_value=d - 1))
         j = draw(st.integers(min_value=0, max_value=d - 1))
@@ -168,6 +177,12 @@ def malformed_grids(draw, max_dim=9):
     else:
         del grid[i][draw(st.integers(min_value=0, max_value=len(grid[i]) - 1)):]
     return grid
+
+
+def reference_digest(m):
+    """sha256 of the matrix JSON as json.dumps writes it, keys sorted."""
+    payload = json.dumps(m.to_json(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
 def random_admissible(rng, d):
@@ -486,5 +501,11 @@ class TestJson:
 
     def test_digest_is_stable(self, a6):
         again = validate(REFERENCE_6)
-        assert a6.digest() == again.digest()
+        assert a6.digest() == again.digest() == (
+            "0b21dcbb3c8c6c6fd824e8c3b8efd50bd9d8a7941ad3dd784be93544e6148ca8")
         assert a6.digest() != validate([[0] * 6 for _ in range(6)]).digest()
+
+    @settings(deadline=None)
+    @given(admissible_matrices(max_dim=16))
+    def test_digest_hashes_the_compact_json(self, m):
+        assert m.digest() == reference_digest(m)
