@@ -19,7 +19,6 @@ _EXPORTS = {
     **dict.fromkeys([
         "NotALeafColumnError", "SveInventory", "cut_rank_gf2", "enumerate_sve",
         "is_sve", "peel_signature", "quotient_by_leaf", "square_reduce",
-        "sve_brute_force",
     ], "cohomology"),
     **dict.fromkeys([
         "Certificate", "CertificateError", "MatchReport", "RayMatrix",

@@ -13,11 +13,11 @@ enumeration stream that reaches it, and ends with the smallest position
 of each forest code.  The representatives are the matrices at those
 positions, decoded with one choice table and printed in stream order,
 which is the first member of each class in the stream.  `oracle` runs
-the move-graph search first, then streams the enumeration with one
-diffeo code per matrix and checks that code and search class determine
-each other.  Memory follows the states of one layer and the classes for
-`classify`, and the search for `oracle`; nothing is printed before the
-work ends, so an error leaves stdout empty.
+the move-graph search, takes the set of diffeo codes of each search
+class, and checks that code and search class determine each other.
+Memory follows the states of one layer and the classes for `classify`,
+and the search for `oracle`; nothing is printed before the work ends, so
+an error leaves stdout empty.
 
 A process loads only the modules its command runs: `matrix` and `forest`
 at import (the `--mode` choices come from `forest.MODES`), `ops` inside
@@ -171,23 +171,19 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     from fanobott import ops
 
     classes = ops.bfs_closure_classes(args.dim)
-    bfs_classes = len(classes)
-    class_of = {m: i for i, members in enumerate(classes) for m in members}
-    del classes
-    # The partitions agree exactly when code <-> class index is a bijection.
-    code_of: dict[int, str] = {}
-    class_by_code: dict[str, int] = {}
-    agree = True
-    for m in enumerate_matrices(args.dim):
-        code = forest.canonical_code(forest.from_matrix(m), forest.DIFFEO).code
-        i = class_of[m]
-        same_code = code_of.setdefault(i, code) == code
-        same_class = class_by_code.setdefault(code, i) == i
-        agree = agree and same_code and same_class
+    codes = [
+        {forest.canonical_code(forest.from_matrix(m), forest.DIFFEO).code
+         for m in members}
+        for members in classes
+    ]
+    # The partitions agree exactly when each class has one code and no two
+    # classes share a code.
+    code_classes = len(set().union(*codes))
+    agree = code_classes == len(classes) and all(len(c) == 1 for c in codes)
     print(_compact({
         "agree": agree,
-        "bfs_classes": bfs_classes,
-        "code_classes": len(class_by_code),
+        "bfs_classes": len(classes),
+        "code_classes": code_classes,
         "dim": args.dim,
     }))
     return 0 if agree else 1

@@ -16,11 +16,9 @@ also exposes the mod-2 cut rank that separates broom sign patterns.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from itertools import product
 
 from fanobott.forest import SignedRootedForest, _kids_and_order, from_matrix
 from fanobott.matrix import FanoBottError, FanoBottMatrix, Record, validate
@@ -104,57 +102,27 @@ def enumerate_sve(a: FanoBottMatrix) -> SveInventory:
     """Classify the square-vanishing elements of the matrix.
 
     x_p vanishes exactly when column p is zero (p is a leaf).  A leaf p is
-    partnered with q when n_pq is nonzero and column q has no other entry
-    above row q; then x_p - 2 n_pq x_q vanishes as well, and distinct
-    partnered pairs never share a vertex.
+    partnered with the first q > p such that n_pq is nonzero and column q
+    has no other nonzero entry; then x_p - 2 n_pq x_q vanishes as well, and
+    distinct partnered pairs never share a vertex.  Both tests read one
+    count of nonzero entries per column.
     """
     d = a.dim
+    nonzero = [d - column.count(0) for column in zip(*a.rows)]
     g: list[int] = []
     g_prime: list[tuple[int, int, int]] = []
     h: list[int] = []
-    for p in range(1, d + 1):
-        if any(a.entry(i, p) != 0 for i in range(1, p)):
+    for p, row in enumerate(a.rows, 1):
+        if nonzero[p - 1]:
             continue
-        partner = None
-        for q in range(p + 1, d + 1):
-            npq = a.entry(p, q)
-            if npq == 0:
-                continue
-            if all(a.entry(i, q) == 0 for i in range(1, q) if i != p):
-                partner = (q, npq)
-                break
-        if partner is None:
+        q = next((q for q in range(p + 1, d + 1)
+                  if row[q - 1] and nonzero[q - 1] == 1), None)
+        if q is None:
             h.append(p)
         else:
             g.append(p)
-            g_prime.append((p, partner[0], partner[1]))
+            g_prime.append((p, q, row[q - 1]))
     return SveInventory(tuple(g), tuple(g_prime), tuple(h), len(g) + len(h))
-
-
-@functools.cache
-def _candidates(d: int, bound: int) -> tuple[tuple[int, ...], ...]:
-    """Primitive vectors in [-bound, bound]^d with positive leading entry."""
-    return tuple(
-        vec for vec in product(range(-bound, bound + 1), repeat=d)
-        if next((x for x in vec if x), 0) > 0 and math.gcd(*vec) == 1
-    )
-
-
-def sve_brute_force(a: FanoBottMatrix, bound: int = 2
-                    ) -> frozenset[tuple[int, ...]]:
-    """Scan the whole coefficient box for vanishing squares.
-
-    Checks every primitive vector with entries in [-bound, bound] and a
-    positive leading coefficient, and keeps those whose reduced square is
-    identically zero.  Independent of :func:`enumerate_sve`.
-    """
-    d = a.dim
-    kept = _candidates(d, bound)
-    for i in range(d):
-        for j in range(i + 1, d):
-            n = a.rows[i][j]
-            kept = [vec for vec in kept if vec[j] * (vec[j] * n + 2 * vec[i]) == 0]
-    return frozenset(kept)
 
 
 def quotient_by_leaf(a: FanoBottMatrix, alpha: int) -> FanoBottMatrix:
@@ -163,10 +131,7 @@ def quotient_by_leaf(a: FanoBottMatrix, alpha: int) -> FanoBottMatrix:
     Raises:
         NotALeafColumnError: if column alpha is nonzero.
     """
-    d = a.dim
-    if not 1 <= alpha <= d:
-        raise NotALeafColumnError(alpha)
-    if any(a.entry(i, alpha) != 0 for i in range(1, d + 1)):
+    if not 1 <= alpha <= a.dim or any(row[alpha - 1] for row in a.rows):
         raise NotALeafColumnError(alpha)
     rows = [
         tuple(v for j0, v in enumerate(row) if j0 != alpha - 1)
@@ -205,14 +170,10 @@ def cut_rank_gf2(a: FanoBottMatrix, s: Iterable[int]) -> int:
         if not 1 <= v <= d:
             raise ValueError(f"label {v} out of range 1..{d}")
     cols = [j for j in range(1, d + 1) if j not in s_set]
-    rows = []
-    for p in sorted(s_set):
-        bits = 0
-        for pos, j in enumerate(cols):
-            if a.entry(p, j) % 2:
-                bits |= 1 << pos
-        rows.append(bits)
-    return _gf2_rank(rows)
+    return _gf2_rank([
+        sum(1 << pos for pos, j in enumerate(cols) if a.rows[p - 1][j - 1] % 2)
+        for p in sorted(s_set)
+    ])
 
 
 def _gf2_rank(rows: list[int]) -> int:

@@ -400,11 +400,6 @@ def _matrices_at(d: int, positions: Iterable[int]) -> Iterator[FanoBottMatrix]:
         yield FanoBottMatrix(_rows_bottom_up(d, reversed(combo)))
 
 
-def _matrix_at(d: int, position: int) -> FanoBottMatrix:
-    """The matrix at the given 0-based position of :func:`enumerate_matrices`."""
-    return next(_matrices_at(d, [position]))
-
-
 def count_matrices(d: int) -> int:
     """(2d-1)!!, the size of the enumeration stream."""
     if d < 1:

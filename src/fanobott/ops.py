@@ -22,7 +22,6 @@ truth for the canonical codes.
 from __future__ import annotations
 
 import operator
-from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 
 from fanobott.forest import _check_perm, _match_forests, from_matrix
@@ -398,14 +397,10 @@ def bfs_closure_classes(d: int, *,
             j = index[n]
             relabeled[j] = 1
             union(i, j)
-    groups: dict[int, list[FanoBottMatrix]] = defaultdict(list)
-    order: list[int] = []
+    groups: dict[int, list[FanoBottMatrix]] = {}
     for i, m in enumerate(mats):
-        root = find(i)
-        if root not in groups:
-            order.append(root)
-        groups[root].append(m)
-    return [groups[root] for root in order]
+        groups.setdefault(find(i), []).append(m)
+    return list(groups.values())
 
 
 def find_witness(a: FanoBottMatrix, a2: FanoBottMatrix) -> OpSequence | None:

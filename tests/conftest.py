@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import heapq
+import math
+from itertools import product
 
 import pytest
 
@@ -150,6 +153,32 @@ def fb(d: int) -> list:
     if d not in _FB_CACHE:
         _FB_CACHE[d] = list(enumerate_matrices(d))
     return _FB_CACHE[d]
+
+
+@functools.cache
+def _candidates(d: int, bound: int) -> tuple[tuple[int, ...], ...]:
+    """Primitive vectors in [-bound, bound]^d with positive leading entry."""
+    return tuple(
+        vec for vec in product(range(-bound, bound + 1), repeat=d)
+        if next((x for x in vec if x), 0) > 0 and math.gcd(*vec) == 1
+    )
+
+
+def sve_brute_force(a, bound: int = 2) -> frozenset[tuple[int, ...]]:
+    """Scan the whole coefficient box for vanishing squares.
+
+    Checks every primitive vector with entries in [-bound, bound] and a
+    positive leading coefficient, and keeps those whose reduced square is
+    identically zero.  Independent of `enumerate_sve`; the box has
+    (2 bound + 1)^d points, which keeps the scan to small d.
+    """
+    d = a.dim
+    kept = _candidates(d, bound)
+    for i in range(d):
+        for j in range(i + 1, d):
+            n = a.rows[i][j]
+            kept = [vec for vec in kept if vec[j] * (vec[j] * n + 2 * vec[i]) == 0]
+    return frozenset(kept)
 
 
 def subtree_vertices(t, v: int) -> frozenset[int]:

@@ -20,6 +20,7 @@ from conftest import (
     fb,
     seven_vertex_pair,
     star_trio,
+    sve_brute_force,
 )
 from fanobott import (
     DIFFEO,
@@ -47,7 +48,6 @@ from fanobott import (
     leaves,
     phi_sigma,
     replay,
-    sve_brute_force,
     to_matrix,
     validate,
 )

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import broom_pair, fb
+from conftest import broom_pair, fb, sve_brute_force
 from fanobott import (
     NotALeafColumnError,
+    SveInventory,
     bfs_closure_classes,
     cut_rank_gf2,
     enumerate_sve,
@@ -23,11 +24,11 @@ from fanobott import (
     quotient_by_leaf,
     relabel,
     square_reduce,
-    sve_brute_force,
     to_matrix,
     validate,
 )
 from test_forest import forests, path_forest
+from test_matrix import admissible_matrices
 
 
 class TestSquareReduce:
@@ -74,6 +75,30 @@ class TestIsSve:
         assert not is_sve(m, (0, 0))
 
 
+def reference_enumerate_sve(a):
+    """The per-entry scan the column counts replaced: each leaf test and
+    each partner test reads its column again through `entry`."""
+    d = a.dim
+    g, g_prime, h = [], [], []
+    for p in range(1, d + 1):
+        if any(a.entry(i, p) != 0 for i in range(1, p)):
+            continue
+        partner = None
+        for q in range(p + 1, d + 1):
+            npq = a.entry(p, q)
+            if npq == 0:
+                continue
+            if all(a.entry(i, q) == 0 for i in range(1, q) if i != p):
+                partner = (q, npq)
+                break
+        if partner is None:
+            h.append(p)
+        else:
+            g.append(p)
+            g_prime.append((p, partner[0], partner[1]))
+    return SveInventory(tuple(g), tuple(g_prime), tuple(h), len(g) + len(h))
+
+
 class TestInventory:
     def test_product_of_lines(self):
         inv = enumerate_sve(validate([[0] * 3 for _ in range(3)]))
@@ -103,6 +128,11 @@ class TestInventory:
             inv = enumerate_sve(m)
             assert inv.vectors(d) == sve_brute_force(m)
             assert inv.maximal_basis_number == len(leaves(from_matrix(m)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(admissible_matrices(max_dim=24, chains=True))
+    def test_equals_per_entry_reference(self, m):
+        assert enumerate_sve(m) == reference_enumerate_sve(m)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_wider_coefficient_box_finds_nothing_new(self, d):

@@ -26,7 +26,7 @@ from fanobott import (
     validate,
 )
 from fanobott import matrix as matrix_module
-from fanobott.matrix import _matrix_at, _violation
+from fanobott.matrix import _matrices_at, _violation
 
 
 def all_upper_triangular_grids(d):
@@ -142,12 +142,21 @@ def reference_to_phi_sigma(a):
 
 
 @st.composite
-def admissible_matrices(draw, max_dim=9):
-    """An admissible matrix from random parent targets and signs."""
+def admissible_matrices(draw, max_dim=9, chains=False):
+    """An admissible matrix from random parent targets and signs.
+
+    With chains, the top labels form a path of drawn length, up to all d
+    vertices (the deepest tower), and the others hang anywhere above
+    themselves, the path included.
+    """
     d = draw(st.integers(min_value=1, max_value=max_dim))
+    chain = draw(st.integers(min_value=0, max_value=d)) if chains else 0
     phi, sigma = [], []
     for i in range(1, d + 1):
-        target = draw(st.integers(min_value=i + 1, max_value=d + 1))
+        if i > d - chain:
+            target = i + 1
+        else:
+            target = draw(st.integers(min_value=i + 1, max_value=d + 1))
         phi.append(target)
         sigma.append(draw(st.sampled_from("+-")) if target <= d else None)
     return from_phi_sigma(phi_sigma(phi, sigma))
@@ -452,12 +461,12 @@ class TestEnumerate:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_matrix_at_every_position(self, d):
         stream = fb(d) if d <= 5 else list(enumerate_matrices(d))
-        assert [_matrix_at(d, i) for i in range(len(stream))] == stream
+        assert list(_matrices_at(d, range(len(stream)))) == stream
 
     @pytest.mark.parametrize("d, position", [(3, -1), (3, 15), (0, 0)])
     def test_matrix_at_rejects_positions_outside_the_stream(self, d, position):
         with pytest.raises(ValueError):
-            _matrix_at(d, position)
+            list(_matrices_at(d, [position]))
 
 
 class TestDirectSum:
