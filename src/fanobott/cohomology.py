@@ -21,7 +21,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 
 from fanobott.forest import SignedRootedForest, _kids_and_order, from_matrix
-from fanobott.matrix import FanoBottError, FanoBottMatrix, Record, validate
+from fanobott.matrix import FanoBottError, FanoBottMatrix, Record, _require_int, validate
 
 
 class NotALeafColumnError(FanoBottError, ValueError):
@@ -38,11 +38,14 @@ def square_reduce(a: FanoBottMatrix, coeffs: Sequence[int]
 
     Returns c(i, j) = a_j (a_j n_ij + 2 a_i) for every pair i < j, keyed by
     the 1-based pair.
+
+    Raises:
+        ValueError: if the count differs from d or a coefficient is not an int.
     """
     d = a.dim
     if len(coeffs) != d:
         raise ValueError(f"{len(coeffs)} coefficients for a {d}-row matrix")
-    c = [int(x) for x in coeffs]
+    c = [_require_int("coefficient", x) for x in coeffs]
     out = {}
     for i in range(1, d + 1):
         for j in range(i + 1, d + 1):
@@ -52,8 +55,13 @@ def square_reduce(a: FanoBottMatrix, coeffs: Sequence[int]
 
 
 def is_primitive(coeffs: Sequence[int]) -> bool:
-    """Nonzero integer vector whose nonzero entries have gcd 1."""
-    values = [abs(int(x)) for x in coeffs if x != 0]
+    """Nonzero integer vector whose nonzero entries have gcd 1.
+
+    Raises:
+        ValueError: if an entry is not an int.
+    """
+    coeffs = [_require_int("coefficient", x) for x in coeffs]
+    values = [abs(x) for x in coeffs if x]
     return bool(values) and math.gcd(*values) == 1
 
 
@@ -163,9 +171,12 @@ def cut_rank_gf2(a: FanoBottMatrix, s: Iterable[int]) -> int:
     """Mod-2 rank of the submatrix with rows s and the complementary columns.
 
     Entries are taken mod 2 (so -1 counts as 1); s holds 1-based labels.
+
+    Raises:
+        ValueError: if a label is not an int or lies outside 1..d.
     """
     d = a.dim
-    s_set = set(int(v) for v in s)
+    s_set = {_require_int("label", v) for v in s}
     for v in s_set:
         if not 1 <= v <= d:
             raise ValueError(f"label {v} out of range 1..{d}")

@@ -81,16 +81,6 @@ class MatchReport(Record):
     signs: tuple[str, ...] | None
     first_mismatch: int | None
 
-    def to_json(self) -> dict:
-        if not self.matches:
-            return {"matches": False, "first_mismatch": self.first_mismatch}
-        d = len(self.signs) // 2
-        return {
-            "matches": True,
-            "plus_rays": list(self.signs[:d]),
-            "minus_rays": list(self.signs[d:]),
-        }
-
 
 def rows_match_up_to_sign(m: RayMatrix | Sequence[Sequence[int]],
                           m2: RayMatrix | Sequence[Sequence[int]]) -> MatchReport:

@@ -83,14 +83,6 @@ class SignedRootedForest(Record):
     def size(self) -> int:
         return len(self.parents)
 
-    def parent(self, v: int) -> int:
-        """Parent label of vertex v, 0 if v is a root."""
-        return self.parents[v - 1]
-
-    def sign(self, v: int) -> str:
-        """Sign of the edge from v to its parent, "" if v is a root."""
-        return self.signs[v - 1]
-
     def roots(self) -> tuple[int, ...]:
         return tuple(v for v in range(1, self.size + 1) if self.parents[v - 1] == 0)
 

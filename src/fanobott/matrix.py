@@ -58,42 +58,21 @@ def _require_int(name: str, value: object) -> int:
 class Record:
     """Immutable value record: the base of the package's data classes.
 
-    A subclass lists its fields as annotations, in order.  Instances are
-    built by position or by keyword, compare equal to instances of the
-    same class with equal fields, hash as the tuple of their fields, and
-    refuse assignment and deletion, as a frozen dataclass does.
+    A subclass lists its fields as annotations, in order, and gets an
+    ``__init__`` taking them by position or by keyword.  Instances
+    compare equal to instances of the same class with equal fields, hash
+    as the tuple of their fields, and refuse assignment and deletion, as
+    a frozen dataclass does.
     """
-
-    _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
-
-    def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if kwargs or len(args) != len(fields):
-            args = self._bind(args, kwargs)
-        self.__dict__.update(zip(fields, args))
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """Field values in order from positional and keyword arguments."""
-        name = cls.__qualname__
-        fields = cls._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} positional arguments "
-                            f"but {len(args)} were given")
-        values = list(args)
-        for field in fields[len(args):]:
-            if field not in kwargs:
-                raise TypeError(f"{name}() missing required argument: {field!r}")
-            values.append(kwargs.pop(field))
-        if kwargs:
-            field = next(iter(kwargs))
-            reason = "multiple values for" if field in fields else "an unexpected keyword"
-            raise TypeError(f"{name}() got {reason} argument {field!r}")
-        return values
+        fields = cls.__match_args__ = tuple(cls.__annotations__)
+        body = "".join(f"\n    self.__dict__[{f!r}] = {f}" for f in fields)
+        namespace = {"__name__": cls.__module__}
+        exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
+        init = cls.__init__ = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
 
     # The instance dict holds exactly the fields, in order.
     def __eq__(self, other: object) -> bool:
@@ -116,24 +95,9 @@ class Record:
 
 
 class FanoBottMatrix(Record):
-    """A validated admissible matrix.  Construct through :func:`validate`.
-
-    The three record methods are written out: the oracle builds and hashes
-    these in its inner loop.
-    """
+    """A validated admissible matrix.  Construct through :func:`validate`."""
 
     rows: tuple[tuple[int, ...], ...]
-
-    def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        self.__dict__["rows"] = rows
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.rows,))
 
     @property
     def dim(self) -> int:
@@ -142,10 +106,6 @@ class FanoBottMatrix(Record):
     def entry(self, i: int, j: int) -> int:
         """Entry in row i, column j (1-based)."""
         return self.rows[i - 1][j - 1]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        """Column j (1-based) as a tuple."""
-        return tuple(row[j - 1] for row in self.rows)
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "entries": [list(row) for row in self.rows]}

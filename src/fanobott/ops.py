@@ -148,10 +148,6 @@ def witness_from_json(data: object) -> OpSequence:
     return OpSequence(tuple(step_from_json(s) for s in data["steps"]), *shas)
 
 
-def identity_perm(d: int) -> tuple[int, ...]:
-    return tuple(range(1, d + 1))
-
-
 def conjugate(a: FanoBottMatrix, perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Conjugate by the permutation matrix of perm; raw rows, not validated.
 
@@ -422,7 +418,7 @@ def find_witness(a: FanoBottMatrix, a2: FanoBottMatrix) -> OpSequence | None:
     d = a.dim
     perm = tuple(mapping[i] for i in range(1, d + 1))
     steps: list[OpStep] = []
-    if perm != identity_perm(d):
+    if perm != tuple(range(1, d + 1)):
         steps.append(ConjugateStep(perm))
     steps.extend(ColumnFlipStep(k) for k in sorted(flips))
     steps.extend(RootEdgeFlipStep(k, l) for l, k in sorted(edge_flips))

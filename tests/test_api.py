@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import pickle
 import subprocess
 import sys
@@ -122,6 +123,12 @@ class TestRecordAgainstFrozenDataclass:
         mixed = dict(list(kwargs.items())[head:])
         assert cls(*values[:head], **mixed) == cls(*values)
         assert hash(cls(**kwargs)) == hash(twin(*values))
+
+    def test_signature_lists_the_fields(self, cls):
+        assert list(inspect.signature(cls).parameters) == list(cls.__annotations__)
+        init = cls.__init__
+        assert (init.__qualname__, init.__module__) == (f"{cls.__qualname__}.__init__",
+                                                        cls.__module__)
 
     def test_bad_fields_raise_type_error(self, cls):
         twin = _twin(cls)

@@ -27,6 +27,7 @@ from fanobott import (
     to_matrix,
     validate,
 )
+from fanobott.cohomology import is_primitive
 from test_forest import forests, path_forest
 from test_matrix import admissible_matrices
 
@@ -49,6 +50,11 @@ class TestSquareReduce:
     def test_wrong_length(self, a6):
         with pytest.raises(ValueError):
             square_reduce(a6, (1, 0))
+
+    @pytest.mark.parametrize("coeffs", [(1.5, 2.2), (1, 2.0), ("1", 0), (True, 0)])
+    def test_non_integer_coefficient_is_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="is not an integer"):
+            square_reduce(validate([[0, 1], [0, 0]]), coeffs)
 
 
 class TestIsSve:
@@ -73,6 +79,15 @@ class TestIsSve:
         m = validate([[0, 0], [0, 0]])
         assert not is_sve(m, (2, 0))
         assert not is_sve(m, (0, 0))
+
+    def test_non_integer_coefficient_is_rejected(self):
+        m = validate([[0, 1], [0, 0]])
+        for coeffs in [(True, 0), (1, 0.0), (1.0, -2)]:
+            with pytest.raises(ValueError, match="is not an integer"):
+                is_sve(m, coeffs)
+        for coeffs in [(1.5,), (1, "2"), (0.0, 1)]:
+            with pytest.raises(ValueError, match="is not an integer"):
+                is_primitive(coeffs)
 
 
 def reference_enumerate_sve(a):
@@ -256,6 +271,11 @@ class TestCutRank:
     def test_out_of_range_label(self, a6):
         with pytest.raises(ValueError):
             cut_rank_gf2(a6, {0})
+
+    @pytest.mark.parametrize("label", [1.7, "1", True, 1.0])
+    def test_non_integer_label_is_rejected(self, label):
+        with pytest.raises(ValueError, match="is not an integer"):
+            cut_rank_gf2(validate([[0, 1], [0, 0]]), [label])
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_matches_subset_xor_oracle(self, d):
