@@ -3,8 +3,10 @@
 Exit codes: 0 for success or an affirmative answer, 1 for a negative
 answer (rejected matrix, inequivalent inputs, failed certificate, oracle
 disagreement), 2 for usage or input errors and for any internal error,
-which is reported on stderr without a traceback.  Matrix arguments accept a
-file path or inline JSON (anything starting with "[" or "{").
+which is reported on stderr without a traceback.  A failed certificate
+also writes its stage, step and row as one JSON line to stderr.  Matrix
+arguments accept a file path or inline JSON (anything starting with "["
+or "{").
 
 `classify` builds no matrix or forest per labelled matrix: one forward
 pass over the row choices, a layer per vertex, keeps each state of root
@@ -140,6 +142,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         certificate = fan.certify_diffeo(a, b, witness)
     except fan.CertificateError as exc:
         print(_compact({"certified": False, "reason": str(exc)}))
+        print(_compact(exc.to_json()), file=sys.stderr)
         return 1
     print(_compact({"certified": True} | certificate.to_json()))
     return 0

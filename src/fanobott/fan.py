@@ -7,12 +7,12 @@ the identity on top and -E + A below, each pair summing to the parent ray
 named by the leading entry of the row (or to zero at the roots).
 
 Two towers whose ray matrices agree row by row up to sign, with the
-antipodal pairing preserved, are diffeomorphic.  The certificate walks a
-witness once, applying its relabelings and column flips to the rays as
-unimodular column transformations (a column flip exchanges the two rays of
-its pair, so the pair's rows swap), then flips the subtrees hanging below
-the root edges whose signs still disagree via diagonal sign matrices, and
-finally checks the row-by-row sign match.
+antipodal pairing preserved, are diffeomorphic.  The certificate replays
+a witness on parent/sign data, applies its relabelings and column flips to
+the rays as unimodular column transformations (a column flip exchanges the
+two rays of its pair, so the pair's rows swap), then flips the subtrees
+hanging below the root edges whose signs still disagree via diagonal sign
+matrices, and finally checks the row-by-row sign match.
 """
 
 from __future__ import annotations
@@ -20,15 +20,15 @@ from __future__ import annotations
 from collections.abc import Sequence
 from operator import add
 
-from fanobott.forest import _kids_and_order, from_matrix
-from fanobott.matrix import FanoBottError, FanoBottMatrix, Record
+from fanobott.matrix import FanoBottError, FanoBottMatrix, PhiSigma, Record, _matrix_of
 from fanobott.ops import (
     ColumnFlipStep,
     ConjugateStep,
     OpSequence,
     RootEdgeFlipStep,
+    StepFailedError,
+    _move,
     _replay_steps,
-    apply_step,
 )
 
 
@@ -37,12 +37,24 @@ class ShapeMismatchError(FanoBottError, ValueError):
 
 
 class CertificateError(FanoBottError):
-    """The diffeomorphism certificate could not be completed."""
+    """The diffeomorphism certificate could not be completed.
 
-    def __init__(self, reason: str, row: int | None = None):
+    stage names the failed check of :func:`certify_diffeo`: "replay",
+    "target", "unimodular", "shape", "non_root_edge" or "row_match".  step
+    is the failing step's index when the replay failed (-1 and len(steps)
+    for the source and target digests), and row the first mismatched ray.
+    """
+
+    def __init__(self, reason: str, row: int | None = None, *,
+                 stage: str | None = None, step: int | None = None):
         self.reason = reason
         self.row = row
+        self.stage = stage
+        self.step = step
         super().__init__(reason if row is None else f"{reason} (row {row})")
+
+    def to_json(self) -> dict:
+        return {"stage": self.stage, "step": self.step, "row": self.row}
 
 
 class RayMatrix(Record):
@@ -135,14 +147,16 @@ class Certificate(Record):
         }
 
 
-def _move_rays(ray_rows: list[list[int]], a: FanoBottMatrix,
+def _move_rays(ray_rows: list[list[int]], ps: PhiSigma,
                step: ConjugateStep | ColumnFlipStep) -> list[list[int]]:
-    """Apply a relabeling or a column flip of a to its rays.
+    """Apply a relabeling or a column flip of the matrix of ps to its rays.
 
     Relabeling permutes the columns and, blockwise, the rows, through the
     inverse index of :func:`~fanobott.ops.conjugate`.  A column
     flip at k right-multiplies by the unimodular matrix with rows e_i off
-    row k and -e_k + (row k of a) there.  That product is a column update,
+    row k and -e_k + (row k of the matrix) there.  Row k is read off the
+    parent chain: -1 at each parent reached through a "-" edge, then +1 at
+    the parent of the first "+" edge.  The product is a column update,
     applied in place: a ray whose entry x in column k is nonzero has that
     entry negated and gains x times entry (k, j) in each column j where
     row k is nonzero, and every other ray stays.  One flip thus costs
@@ -150,19 +164,26 @@ def _move_rays(ray_rows: list[list[int]], a: FanoBottMatrix,
     flip exchanges the two rays of pair k, so the rows k and d+k swap to
     restore the pair order.
     """
-    d = a.dim
+    d = ps.dim
     if isinstance(step, ConjugateStep):
         inverse = sorted(range(d), key=step.perm.__getitem__)
         return [list(map(ray_rows[i0].__getitem__, inverse))
                 for i0 in inverse + [d + i0 for i0 in inverse]]
+    phi, sigma = ps.phi, ps.sigma
+    support = []
+    v = step.k
+    while phi[v - 1] <= d:
+        v, sign = phi[v - 1], sigma[v - 1]
+        support.append((v - 1, 1 if sign == "+" else -1))
+        if sign == "+":
+            break
     k0 = step.k - 1
-    support = [(j0, v) for j0, v in enumerate(a.rows[k0]) if v]
     for row in ray_rows:
         x = row[k0]
         if x:
             row[k0] = -x
-            for j0, v in support:
-                row[j0] += x * v
+            for j0, entry in support:
+                row[j0] += x * entry
     ray_rows[k0], ray_rows[d + k0] = ray_rows[d + k0], ray_rows[k0]
     return ray_rows
 
@@ -171,53 +192,55 @@ def certify_diffeo(a: FanoBottMatrix, a2: FanoBottMatrix,
                    witness: OpSequence) -> Certificate:
     """Verify a witness end to end and return the transcript.
 
-    The witness is replayed once, each step validated once, and must reach
-    the target.  Along the way its relabelings and column flips are
-    applied to the ray matrix of the source, and the result is checked
-    against the ray matrix of the matrix those steps alone reach.  The
-    remaining disagreement with the target must sit on root-adjacent
-    edges, and for each such edge the diagonal sign matrix supported on
-    the child's subtree is applied.  The final matrices must agree row by
-    row up to sign.
+    The witness is replayed on parent/sign data and must reach the target.
+    Its relabelings and column flips alone give the prefix, also on
+    parent/sign data, and are applied to the ray matrix of the source; the
+    result is checked against the ray matrix of the prefix.  The remaining
+    disagreement with the target must sit on root-adjacent edges, and for
+    each such edge the diagonal sign matrix supported on the child's
+    subtree is applied.  The final matrices must agree row by row up to
+    sign.
 
     Raises:
-        CertificateError: with the first failing row or the failing stage.
+        CertificateError: with the failing stage, and the step or the
+            first failing row where there is one.
     """
     m_source = rays(a)
     ray_rows = [list(r) for r in m_source.rows]
-    # prefix: the matrix reached by the relabelings and column flips alone;
-    # it is the replayed matrix itself until a root-edge flip intervenes
-    reached = prefix = a
     try:
-        for step, before, reached in _replay_steps(a, witness):
-            if isinstance(step, RootEdgeFlipStep):
-                continue
+        prefix, reached, target = _replay_steps(a, witness)
+    except StepFailedError as exc:
+        raise CertificateError(f"witness replay failed: {exc}",
+                               stage="replay", step=exc.index) from exc
+    if target != a2:
+        raise CertificateError("witness does not reach the target matrix", stage="target")
+    for step in witness.steps:
+        if not isinstance(step, RootEdgeFlipStep):
             ray_rows = _move_rays(ray_rows, prefix, step)
-            prefix = reached if prefix is before else apply_step(prefix, step)
-    except FanoBottError as exc:
-        raise CertificateError(f"witness replay failed: {exc}") from exc
-    if reached != a2:
-        raise CertificateError("witness does not reach the target matrix")
-    m_transformed = rays(prefix)
+            prefix = _move(prefix, step)
+    m_transformed = rays(target if prefix == reached else _matrix_of(prefix))
     if tuple(map(tuple, ray_rows)) != m_transformed.rows:
-        raise CertificateError("unimodular replay diverged from the ray matrix")
+        raise CertificateError("unimodular replay diverged from the ray matrix",
+                               stage="unimodular")
 
-    t_pre = from_matrix(prefix)
-    t_target = from_matrix(a2)
-    if t_pre.parents != t_target.parents:
-        raise CertificateError("forest shapes disagree after the prefix")
-    roots = set(t_pre.roots())
+    # reached is the target's parent/sign data, since the matrices agree
+    phi = prefix.phi
+    if phi != reached.phi:
+        raise CertificateError("forest shapes disagree after the prefix", stage="shape")
+    d = a.dim
     flipped_children = []
-    for v in range(1, t_pre.size + 1):
-        if t_pre.signs[v - 1] != t_target.signs[v - 1]:
-            if t_pre.parents[v - 1] not in roots:
+    for v, (p, s, s2) in enumerate(zip(phi, prefix.sigma, reached.sigma), 1):
+        if s != s2:
+            if phi[p - 1] <= d:
                 raise CertificateError(
-                    f"sign of the non-root-adjacent edge at vertex {v} disagrees"
+                    f"sign of the non-root-adjacent edge at vertex {v} disagrees",
+                    stage="non_root_edge",
                 )
             flipped_children.append(v)
 
-    d = a.dim
-    kids = _kids_and_order(t_pre.parents)[0]
+    kids: list[list[int]] = [[] for _ in range(d + 2)]
+    for v, p in enumerate(phi, 1):
+        kids[p].append(v)
     diagonals = []
     for child in flipped_children:
         subtree = [child]
@@ -235,7 +258,7 @@ def certify_diffeo(a: FanoBottMatrix, a2: FanoBottMatrix,
     report = rows_match_up_to_sign(ray_rows, m_target)
     if not report.matches:
         raise CertificateError("transformed rays do not match the target",
-                               row=report.first_mismatch)
+                               row=report.first_mismatch, stage="row_match")
     return Certificate(
         witness=witness,
         m_source=m_source,

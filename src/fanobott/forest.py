@@ -170,14 +170,18 @@ def to_matrix(t: SignedRootedForest) -> FanoBottMatrix:
         LabelOrderError: naming the first vertex whose parent label is
             not larger than its own.
     """
-    d = t.size
-    for v in range(1, d + 1):
+    for v in range(1, t.size + 1):
         p = t.parents[v - 1]
         if p != 0 and p <= v:
             raise LabelOrderError(v)
-    phi = tuple(p if p != 0 else d + 1 for p in t.parents)
-    sigma = tuple(s if s != "" else None for s in t.signs)
-    return from_phi_sigma(PhiSigma(phi, sigma))
+    return from_phi_sigma(_phi_sigma_of(t))
+
+
+def _phi_sigma_of(t: SignedRootedForest) -> PhiSigma:
+    """Parent/sign data of the forest, unchecked: roots get phi = d+1."""
+    d = t.size
+    return PhiSigma(tuple(p or d + 1 for p in t.parents),
+                    tuple(s or None for s in t.signs))
 
 
 def _check_perm(perm: Sequence[int], d: int) -> tuple[int, ...]:
@@ -318,7 +322,9 @@ def _first_positions(d: int, mode: str) -> dict[str, int]:
         layer: dict[tuple, int] = {}
         for (roots, (tokens, *pending)), base in states.items():
             code = _vertex_code(tokens, mode, False)[0]
-            root_code = _vertex_code(tokens, mode, True)[0] if mode == DIFFEO else code
+            # the state's tokens are sorted, so their codes already come in
+            # the order that _vertex_code sorts a diffeo root's codes into
+            root_code = "[" + ",".join([c for c, _ in tokens]) + "]" if mode == DIFFEO else code
             for j, (q, s) in enumerate(choices):
                 if q > d:
                     state = (tuple(sorted((*roots, root_code))), tuple(pending))

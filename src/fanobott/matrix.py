@@ -305,6 +305,11 @@ def _rows_bottom_up(d: int, choices: Iterable[tuple[int, str | None]]
     return tuple(rows)
 
 
+def _matrix_of(ps: PhiSigma) -> FanoBottMatrix:
+    """The matrix of parent/sign data that is already known to be valid."""
+    return FanoBottMatrix(_rows_bottom_up(ps.dim, zip(reversed(ps.phi), reversed(ps.sigma))))
+
+
 def from_phi_sigma(ps: PhiSigma) -> FanoBottMatrix:
     """Rebuild the matrix from parent/sign data.
 
@@ -312,9 +317,7 @@ def from_phi_sigma(ps: PhiSigma) -> FanoBottMatrix:
     "+" edge the unit row of the parent column, and a "-" edge the parent's
     row minus that unit row.  This inverts :func:`to_phi_sigma`.
     """
-    ps = phi_sigma(ps.phi, ps.sigma)
-    choices = zip(reversed(ps.phi), reversed(ps.sigma))
-    return FanoBottMatrix(_rows_bottom_up(ps.dim, choices))
+    return _matrix_of(phi_sigma(ps.phi, ps.sigma))
 
 
 def _row_choices(d: int) -> list[list[tuple[int, str | None]]]:

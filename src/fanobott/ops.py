@@ -4,7 +4,7 @@ Three moves generate the equivalence that matches diffeomorphism of the
 underlying towers:
 
 * conjugation by a permutation matrix, which relabels the forest and may
-  leave the admissible set (callers validate);
+  leave the admissible set;
 * a column flip at k, which negates column k and adds the old column k
   times entry (k, j) into every other column j; on the forest this flips
   the signs of all edges from vertex k to its children;
@@ -13,23 +13,24 @@ underlying towers:
   (i, k) wherever the latter is nonzero, flipping the sign of the single
   edge between root l and its child k.
 
-Column and root-edge flips keep the admissible set.  A replayable witness
-is a sequence of steps together with digests of its endpoints.  For small
-d the move graph itself is searched exhaustively, which serves as ground
-truth for the canonical codes.
+Each move is applied to parent/sign data, in O(d), and matrices are built
+only where a caller needs one.  A replayable witness is a sequence of
+steps together with digests of its endpoints.  For small d the move graph
+itself is searched exhaustively, which serves as ground truth for the
+canonical codes.
 """
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
-from fanobott.forest import _check_perm, _match_forests, from_matrix
+from fanobott.forest import _FLIP, _check_perm, _match_forests, _phi_sigma_of, from_matrix
 from fanobott.matrix import (
     FanoBottError,
     FanoBottMatrix,
     PhiSigma,
     Record,
+    _matrix_of,
     _require_int,
     enumerate_matrices,
     to_phi_sigma,
@@ -160,26 +161,51 @@ def conjugate(a: FanoBottMatrix, perm: Sequence[int]) -> tuple[tuple[int, ...], 
     return tuple(tuple(map(a.rows[i0].__getitem__, inverse)) for i0 in inverse)
 
 
+def _move(ps: PhiSigma, step: OpStep) -> PhiSigma:
+    """Apply one step to parent/sign data in O(d), raising the dense errors.
+
+    A relabeling moves each vertex with its parent and sign; it is
+    admissible exactly when every label stays below its parent's, else the
+    dense conjugate is validated to name the failing row.  A column flip at
+    k flips the signs of k's child edges, a root-edge flip (k, l) the sign
+    of the edge from k to the root l (so phi(l) = d+1 and phi(k) = l).
+    """
+    phi, sigma = ps.phi, ps.sigma
+    d = len(phi)
+    if isinstance(step, ConjugateStep):
+        perm = _check_perm(step.perm, d)
+        labels = (*perm, d + 1)  # phi = d+1 marks a root, which keeps it
+        if any(labels[v0] >= labels[p - 1] for v0, p in enumerate(phi)):
+            validate(conjugate(_matrix_of(ps), perm))  # raises, naming the row
+        inverse = sorted(range(d), key=perm.__getitem__)
+        return PhiSigma(tuple([labels[phi[v0] - 1] for v0 in inverse]),
+                        tuple(map(sigma.__getitem__, inverse)))
+    if isinstance(step, ColumnFlipStep):
+        k = step.k
+        if not 1 <= k <= d:
+            raise ValueError(f"column {k} out of range 1..{d}")
+        return PhiSigma(phi, tuple([_FLIP[s] if p == k else s
+                                    for p, s in zip(phi, sigma)]))
+    if isinstance(step, RootEdgeFlipStep):
+        k, l = step.k, step.l
+        if not (1 <= k <= d and 1 <= l <= d):
+            raise OpPreconditionError(k, l, "indices out of range")
+        if phi[l - 1] <= d:
+            raise OpPreconditionError(k, l, f"row {l} is not zero")
+        if phi[k - 1] != l:
+            raise OpPreconditionError(k, l, f"row {k} is not +/- e_{l}")
+        return PhiSigma(phi, (*sigma[:k - 1], _FLIP[sigma[k - 1]], *sigma[k:]))
+    raise TypeError(f"not a step: {step!r}")
+
+
 def flip_column(a: FanoBottMatrix, k: int) -> FanoBottMatrix:
     """Negate column k and absorb the old column into the others.
 
     New column k is the negated old one; new column j gains the old column
-    k times entry (k, j).  The result stays admissible, and on the forest
-    every edge from vertex k to one of its children changes sign.
+    k times entry (k, j).  The result stays admissible: on the forest every
+    edge from vertex k to one of its children changes sign.
     """
-    d = a.dim
-    if not 1 <= k <= d:
-        raise ValueError(f"column {k} out of range 1..{d}")
-    k0 = k - 1
-    row_k = a.rows[k0]
-    rows = []
-    for row in a.rows:
-        cik = row[k0]
-        if cik != 0:
-            row = list(map(operator.add if cik == 1 else operator.sub, row, row_k))
-            row[k0] = -cik
-        rows.append(row)
-    return validate(rows)
+    return _matrix_of(_move(to_phi_sigma(a), ColumnFlipStep(k)))
 
 
 def flip_root_edge(a: FanoBottMatrix, k: int, l: int) -> FanoBottMatrix:
@@ -192,61 +218,36 @@ def flip_root_edge(a: FanoBottMatrix, k: int, l: int) -> FanoBottMatrix:
     Raises:
         OpPreconditionError: naming which of the two row conditions fails.
     """
-    d = a.dim
-    if not (1 <= k <= d and 1 <= l <= d):
-        raise OpPreconditionError(k, l, "indices out of range")
-    l0, k0 = l - 1, k - 1
-    if any(v != 0 for v in a.rows[l0]):
-        raise OpPreconditionError(k, l, f"row {l} is not zero")
-    expected_unit = all(
-        v == 0 if j0 != l0 else v in (-1, 1)
-        for j0, v in enumerate(a.rows[k0])
-    ) and a.rows[k0][l0] != 0
-    if not expected_unit:
-        raise OpPreconditionError(k, l, f"row {k} is not +/- e_{l}")
-    rows = [list(r) for r in a.rows]
-    rows[k0][l0] = -rows[k0][l0]
-    for i0 in range(d):
-        if i0 in (k0, l0):
-            continue
-        if a.rows[i0][k0] != 0:
-            rows[i0][l0] = a.rows[i0][k0] * a.rows[i0][l0]
-    return validate(rows)
+    return _matrix_of(_move(to_phi_sigma(a), RootEdgeFlipStep(k, l)))
 
 
 def apply_step(a: FanoBottMatrix, step: OpStep) -> FanoBottMatrix:
-    """Apply one step, validating conjugation results."""
-    if isinstance(step, ConjugateStep):
-        return validate(conjugate(a, step.perm))
-    if isinstance(step, ColumnFlipStep):
-        return flip_column(a, step.k)
-    if isinstance(step, RootEdgeFlipStep):
-        return flip_root_edge(a, step.k, step.l)
-    raise TypeError(f"not a step: {step!r}")
+    """Apply one step; a relabeling out of the admissible set raises validate's error."""
+    return _matrix_of(_move(to_phi_sigma(a), step))
 
 
 def _replay_steps(a: FanoBottMatrix, steps: OpSequence | Iterable[OpStep]
-                  ) -> Iterator[tuple[OpStep, FanoBottMatrix, FanoBottMatrix]]:
-    """Yield (step, before, after) for each step, as :func:`replay` checks it.
+                  ) -> tuple[PhiSigma, PhiSigma, FanoBottMatrix]:
+    """The source's and the reached parent/sign data, and the reached matrix.
 
-    The source digest is checked before the first step and the target
-    digest after the last one, so a caller that consumes the whole stream
-    has had every check of :func:`replay`.
+    These are the checks of :func:`replay`: the source digest before the
+    first step and the target digest, of the one matrix built, after the
+    last.
     """
     sequence = steps if isinstance(steps, OpSequence) else None
     step_list = list(sequence.steps if sequence else steps)
     if sequence and sequence.source_sha and sequence.source_sha != a.digest():
         raise StepFailedError(-1, "source digest does not match the matrix")
-    current = a
+    source = reached = to_phi_sigma(a)
     for index, step in enumerate(step_list):
         try:
-            after = apply_step(current, step)
+            reached = _move(reached, step)
         except (FanoBottError, ValueError) as exc:
             raise StepFailedError(index, str(exc)) from exc
-        yield step, current, after
-        current = after
-    if sequence and sequence.target_sha and sequence.target_sha != current.digest():
+    result = _matrix_of(reached)
+    if sequence and sequence.target_sha and sequence.target_sha != result.digest():
         raise StepFailedError(len(step_list), "target digest does not match the result")
+    return source, reached, result
 
 
 def replay(a: FanoBottMatrix,
@@ -258,10 +259,7 @@ def replay(a: FanoBottMatrix,
     Raises:
         StepFailedError: with the failing step index and the reason.
     """
-    current = a
-    for _, _, current in _replay_steps(a, steps):
-        pass
-    return current
+    return _replay_steps(a, steps)[2]
 
 
 def _valid_root_edge_pairs(ps: PhiSigma) -> list[tuple[int, int]]:
@@ -318,23 +316,21 @@ def _admissible_perms(phi: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
-def _flip_neighbors(a: FanoBottMatrix, ps: PhiSigma,
-                    use_root_edge_flips: bool) -> list[FanoBottMatrix]:
+def _flip_neighbors(ps: PhiSigma, use_root_edge_flips: bool) -> list[PhiSigma]:
     """The column flips at 1..d, then the root-edge flips when enabled."""
-    out = [flip_column(a, k) for k in range(1, a.dim + 1)]
+    steps: list[OpStep] = [ColumnFlipStep(k) for k in range(1, ps.dim + 1)]
     if use_root_edge_flips:
-        out.extend(flip_root_edge(a, k, l) for k, l in _valid_root_edge_pairs(ps))
-    return out
+        steps += [RootEdgeFlipStep(k, l) for k, l in _valid_root_edge_pairs(ps)]
+    return [_move(ps, step) for step in steps]
 
 
-def _relabel_neighbors(a: FanoBottMatrix, ps: PhiSigma) -> list[FanoBottMatrix]:
-    """The admissible conjugates of a, in lexicographic order of perm.
+def _relabel_neighbors(ps: PhiSigma) -> list[PhiSigma]:
+    """The admissible relabelings of ps, in lexicographic order of perm.
 
     Only the relabelings that keep every label below its parent's are
-    conjugated, since every other permutation leaves the admissible set;
-    each conjugate is still validated, so a wrong relabeling raises.
+    applied, since every other permutation leaves the admissible set.
     """
-    return [validate(conjugate(a, perm)) for perm in _admissible_perms(ps.phi)]
+    return [_move(ps, ConjugateStep(perm)) for perm in _admissible_perms(ps.phi)]
 
 
 def neighbors(a: FanoBottMatrix, *,
@@ -346,7 +342,8 @@ def neighbors(a: FanoBottMatrix, *,
     of perm.
     """
     ps = to_phi_sigma(a)
-    return _flip_neighbors(a, ps, use_root_edge_flips) + _relabel_neighbors(a, ps)
+    return [_matrix_of(n) for n in
+            _flip_neighbors(ps, use_root_edge_flips) + _relabel_neighbors(ps)]
 
 
 def bfs_closure_classes(d: int, *,
@@ -385,12 +382,12 @@ def bfs_closure_classes(d: int, *,
 
     for i, m in enumerate(mats):
         ps = to_phi_sigma(m)
-        for n in _flip_neighbors(m, ps, use_root_edge_flips):
-            union(i, index[n])
+        for n in _flip_neighbors(ps, use_root_edge_flips):
+            union(i, index[_matrix_of(n)])
         if relabeled[i]:
             continue
-        for n in _relabel_neighbors(m, ps):
-            j = index[n]
+        for n in _relabel_neighbors(ps):
+            j = index[_matrix_of(n)]
             relabeled[j] = 1
             union(i, j)
     groups: dict[int, list[FanoBottMatrix]] = {}
@@ -411,7 +408,8 @@ def find_witness(a: FanoBottMatrix, a2: FanoBottMatrix) -> OpSequence | None:
     """
     if a.dim != a2.dim:
         raise DimensionMismatchError(f"sizes {a.dim} and {a2.dim} differ")
-    matched = _match_forests(from_matrix(a), from_matrix(a2))
+    t, t2 = from_matrix(a), from_matrix(a2)
+    matched = _match_forests(t, t2)
     if matched is None:
         return None
     mapping, flips, edge_flips = matched
@@ -422,7 +420,9 @@ def find_witness(a: FanoBottMatrix, a2: FanoBottMatrix) -> OpSequence | None:
         steps.append(ConjugateStep(perm))
     steps.extend(ColumnFlipStep(k) for k in sorted(flips))
     steps.extend(RootEdgeFlipStep(k, l) for l, k in sorted(edge_flips))
-    result = replay(a, steps)
-    if result != a2:
+    reached = _phi_sigma_of(t)
+    for step in steps:
+        reached = _move(reached, step)
+    if reached != _phi_sigma_of(t2):
         raise FanoBottError("internal: witness replay failed to reach the target")
     return OpSequence(tuple(steps), a.digest(), a2.digest())

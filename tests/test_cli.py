@@ -232,9 +232,22 @@ class TestWitnessCertify:
 
     def test_certify_rejects_wrong_witness(self, capsys):
         witness = '{"steps":[{"op":"2","k":1}],"source_sha":"","target_sha":""}'
-        code, out, _ = run(capsys, "certify", P2, P2_ZERO, witness)
+        code, out, err = run(capsys, "certify", P2, P2_ZERO, witness)
         assert code == 1
         assert json.loads(out)["certified"] is False
+        assert err == '{"row":null,"stage":"target","step":null}\n'
+
+    def test_certify_failure_reports_the_stage_on_stderr(self, capsys, tmp_path):
+        a, b = seven_vertex_pair()
+        witness = ops.find_witness(a, b)
+        dropped = ops.OpSequence(witness.steps[1:], witness.source_sha,
+                                 witness.target_sha)
+        code, out, err = run(capsys, "certify", json.dumps(a.to_json()),
+                             json.dumps(b.to_json()), json.dumps(dropped.to_json()))
+        assert code == 1
+        assert out == _compact({"certified": False, "reason": (
+            "witness replay failed: step 2: target digest does not match the result")}) + "\n"
+        assert err == '{"row":null,"stage":"replay","step":2}\n'
 
 
 class TestReports:

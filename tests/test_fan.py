@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from operator import mul
 
 import pytest
@@ -20,6 +21,7 @@ from fanobott import (
     FanoBottError,
     MatchReport,
     OpSequence,
+    PhiSigma,
     RootEdgeFlipStep,
     ShapeMismatchError,
     canonical_code,
@@ -35,9 +37,9 @@ from fanobott import (
     to_phi_sigma,
     validate,
 )
-from fanobott import ops
+from fanobott import fan, forest, ops
 from fanobott.fan import RayMatrix
-from fanobott.ops import apply_step
+from test_ops import dense_apply_step, reference_replay
 
 
 def laplace_det(rows):
@@ -96,7 +98,7 @@ def reference_transform_rays(a, source, steps):
                     for j0, v in support:
                         row[j0] += x * v
             ray_rows[k0], ray_rows[d + k0] = ray_rows[d + k0], ray_rows[k0]
-        current = apply_step(current, step)
+        current = dense_apply_step(current, step)
     expected = reference_rays(current)
     if tuple(tuple(r) for r in ray_rows) != expected.rows:
         raise CertificateError("unimodular replay diverged from the ray matrix")
@@ -111,7 +113,7 @@ def reference_certify(a, a2, witness):
     subtree is collected on its own.
     """
     try:
-        reached = replay(a, witness)
+        reached = reference_replay(a, witness)
     except FanoBottError as exc:
         raise CertificateError(f"witness replay failed: {exc}") from exc
     if reached != a2:
@@ -207,7 +209,7 @@ def dense_transform_rays(a, steps):
             ray_rows = [[sum(map(mul, row, col)) for col in columns]
                         for row in ray_rows]
             ray_rows[k0], ray_rows[d + k0] = ray_rows[d + k0], ray_rows[k0]
-        current = apply_step(current, step)
+        current = dense_apply_step(current, step)
     return current, tuple(tuple(r) for r in ray_rows)
 
 
@@ -459,7 +461,7 @@ class TestColumnUpdate:
             else:
                 step = ColumnFlipStep(draw_int(1, d))
             steps.append(step)
-            current = apply_step(current, step)
+            current = dense_apply_step(current, step)
         reached, expected = dense_transform_rays(a, steps)
         assert reached == current
         witness = OpSequence(tuple(steps), a.digest(), current.digest())
@@ -475,11 +477,11 @@ class TestColumnUpdate:
         parents = set(to_phi_sigma(current).phi) - {d + 1}
         for k in rng.sample(sorted(parents), 3):
             steps.append(ColumnFlipStep(k))
-            current = apply_step(current, steps[-1])
+            current = dense_apply_step(current, steps[-1])
         prefix = list(steps)
         for k, l in rng.sample(root_edges(current), 2):
             steps.append(RootEdgeFlipStep(k, l))
-            current = apply_step(current, steps[-1])
+            current = dense_apply_step(current, steps[-1])
         b = current
         witness = OpSequence(tuple(steps), a.digest(), b.digest())
 
@@ -521,7 +523,7 @@ class TestSinglePass:
                     continue
                 step = RootEdgeFlipStep(*edges[draw_int(0, len(edges) - 1)])
             steps.append(step)
-            current = apply_step(current, step)
+            current = dense_apply_step(current, step)
         target, source_sha, target_sha = current, a.digest(), current.digest()
         variant = draw_int(0, 3)
         if variant == 1:  # wrong target
@@ -550,16 +552,93 @@ class TestSinglePass:
         assert certificate.to_json() == reference_certify(a, b, witness).to_json()
         assert certificate.flip_diagonals == ((1, 1, 1, -1, -1, -1, 1),)
 
-    def test_validates_once_per_step(self, monkeypatch):
+    def test_reads_the_source_once_and_validates_no_step(self, monkeypatch):
         a, b = seven_vertex_pair()
         witness = find_witness(a, b)
-        calls = []
+        calls = defaultdict(list)
+        for module, name in [(ops, "validate"), (ops, "to_phi_sigma"),
+                             (forest, "to_phi_sigma")]:
+            def counting(grid, name=name, original=getattr(module, name)):
+                calls[name].append(grid)
+                return original(grid)
 
-        def counting_validate(grid):
-            calls.append(grid)
-            return validate(grid)
-
-        monkeypatch.setattr(ops, "validate", counting_validate)
+            monkeypatch.setattr(module, name, counting)
         certify_diffeo(a, b, witness)
         assert len(witness.steps) == 3
-        assert len(calls) == 3
+        assert calls == {"to_phi_sigma": [a]}
+
+
+class TestFailureStages:
+    """Each check of certify_diffeo names its stage."""
+
+    @staticmethod
+    def failure(a, b, witness):
+        with pytest.raises(CertificateError) as err:
+            certify_diffeo(a, b, witness)
+        return err.value
+
+    @staticmethod
+    def witness_reaching(monkeypatch, change):
+        """The seven-vertex witness, with its reached data changed."""
+        a, b = seven_vertex_pair()
+        original = fan._replay_steps
+
+        def tampered(a, steps):
+            source, reached, target = original(a, steps)
+            phi, sigma = list(reached.phi), list(reached.sigma)
+            change(phi, sigma)
+            return source, PhiSigma(tuple(phi), tuple(sigma)), target
+
+        monkeypatch.setattr(fan, "_replay_steps", tampered)
+        return a, b, find_witness(a, b)
+
+    def test_replay(self):
+        a, b = seven_vertex_pair()
+        steps = find_witness(a, b).steps
+        broken = OpSequence((steps[0], ColumnFlipStep(8), *steps[1:]),
+                            a.digest(), b.digest())
+        err = self.failure(a, b, broken)
+        assert (err.stage, err.step, err.row) == ("replay", 1, None)
+        assert str(err) == ("witness replay failed: step 1: "
+                            "column 8 out of range 1..7")
+        dropped = OpSequence(steps[:-1], a.digest(), b.digest())
+        assert self.failure(a, b, dropped).to_json() == {
+            "stage": "replay", "step": 2, "row": None}
+        wrong_source = OpSequence(steps, "0" * 64, b.digest())
+        assert self.failure(a, b, wrong_source).step == -1
+
+    def test_target(self):
+        a, b = seven_vertex_pair()
+        err = self.failure(a, b, OpSequence((), "", ""))
+        assert (err.stage, err.step, err.row) == ("target", None, None)
+        assert str(err) == "witness does not reach the target matrix"
+
+    def test_unimodular(self, monkeypatch):
+        a, b = seven_vertex_pair()
+        monkeypatch.setattr(fan, "_move_rays", lambda ray_rows, ps, step: ray_rows)
+        err = self.failure(a, b, find_witness(a, b))
+        assert (err.stage, err.step, err.row) == ("unimodular", None, None)
+
+    def test_shape(self, monkeypatch):
+        def make_root(phi, sigma):
+            phi[0], sigma[0] = 8, None
+
+        err = self.failure(*self.witness_reaching(monkeypatch, make_root))
+        assert (err.stage, err.step, err.row) == ("shape", None, None)
+
+    def test_non_root_edge(self, monkeypatch):
+        def flip_below_vertex_3(phi, sigma):  # 1 -> 3 -> root 7
+            sigma[0] = {"+": "-", "-": "+"}[sigma[0]]
+
+        err = self.failure(*self.witness_reaching(monkeypatch, flip_below_vertex_3))
+        assert (err.stage, err.step, err.row) == ("non_root_edge", None, None)
+        assert str(err) == "sign of the non-root-adjacent edge at vertex 1 disagrees"
+
+    def test_row_match(self, monkeypatch):
+        def flip_root_edge_3(phi, sigma):  # 3 -> root 7
+            sigma[2] = {"+": "-", "-": "+"}[sigma[2]]
+
+        err = self.failure(*self.witness_reaching(monkeypatch, flip_root_edge_3))
+        assert (err.stage, err.step) == ("row_match", None)
+        assert err.row is not None
+        assert str(err) == f"transformed rays do not match the target (row {err.row})"

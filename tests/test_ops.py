@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial, prod
 
 import pytest
@@ -46,13 +47,14 @@ from fanobott import (
     relabel,
     replay,
     to_matrix,
+    to_phi_sigma,
     validate,
     witness_from_json,
 )
 from fanobott import forest as forest_module
 from fanobott import ops as ops_module
 from fanobott.forest import _match_forests
-from fanobott.ops import neighbors
+from fanobott.ops import apply_step, neighbors
 from test_forest import (
     flip_children_at,
     flip_edges,
@@ -223,6 +225,84 @@ def reference_flip_column(a, k):
             else:
                 rows[i0][j0] = a.rows[i0][j0] + a.rows[k0][j0] * cik
     return validate(rows)
+
+
+def dense_flip_column(a, k):
+    """The dense column flip the parent/sign move replaced: build every row,
+    then validate the result."""
+    d = a.dim
+    if not 1 <= k <= d:
+        raise ValueError(f"column {k} out of range 1..{d}")
+    k0 = k - 1
+    row_k = a.rows[k0]
+    rows = []
+    for row in a.rows:
+        cik = row[k0]
+        if cik != 0:
+            row = list(map(operator.add if cik == 1 else operator.sub, row, row_k))
+            row[k0] = -cik
+        rows.append(row)
+    return validate(rows)
+
+
+def dense_flip_root_edge(a, k, l):
+    """The dense root-edge flip the parent/sign move replaced: check the two
+    rows, build every row, then validate the result."""
+    d = a.dim
+    if not (1 <= k <= d and 1 <= l <= d):
+        raise OpPreconditionError(k, l, "indices out of range")
+    l0, k0 = l - 1, k - 1
+    if any(v != 0 for v in a.rows[l0]):
+        raise OpPreconditionError(k, l, f"row {l} is not zero")
+    expected_unit = all(
+        v == 0 if j0 != l0 else v in (-1, 1)
+        for j0, v in enumerate(a.rows[k0])
+    ) and a.rows[k0][l0] != 0
+    if not expected_unit:
+        raise OpPreconditionError(k, l, f"row {k} is not +/- e_{l}")
+    rows = [list(r) for r in a.rows]
+    rows[k0][l0] = -rows[k0][l0]
+    for i0 in range(d):
+        if i0 in (k0, l0):
+            continue
+        if a.rows[i0][k0] != 0:
+            rows[i0][l0] = a.rows[i0][k0] * a.rows[i0][l0]
+    return validate(rows)
+
+
+def dense_apply_step(a, step):
+    """One step on the dense rows, its result validated."""
+    if isinstance(step, ConjugateStep):
+        return validate(conjugate(a, step.perm))
+    if isinstance(step, ColumnFlipStep):
+        return dense_flip_column(a, step.k)
+    return dense_flip_root_edge(a, step.k, step.l)
+
+
+def reference_replay(a, steps):
+    """The replay the parent/sign moves replaced: every step builds and
+    validates a d x d matrix."""
+    sequence = steps if isinstance(steps, OpSequence) else None
+    step_list = list(sequence.steps if sequence else steps)
+    if sequence and sequence.source_sha and sequence.source_sha != a.digest():
+        raise StepFailedError(-1, "source digest does not match the matrix")
+    current = a
+    for index, step in enumerate(step_list):
+        try:
+            current = dense_apply_step(current, step)
+        except (FanoBottError, ValueError) as exc:
+            raise StepFailedError(index, str(exc)) from exc
+    if sequence and sequence.target_sha and sequence.target_sha != current.digest():
+        raise StepFailedError(len(step_list), "target digest does not match the result")
+    return current
+
+
+def outcome(fn, *args):
+    """The result, or the type and message of the error raised."""
+    try:
+        return fn(*args)
+    except (FanoBottError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
 
 
 @st.composite
@@ -407,6 +487,64 @@ class TestRootEdgeFlip:
                 assert flip_root_edge(flip_root_edge(m, k, l), k, l) == m
 
 
+class TestDenseReference:
+    """The moves on parent/sign data against the dense rows they replaced."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_flips_equal_dense_reference(self, d):
+        # out-of-range indices and every failing (k, l) pair included
+        indices = range(0, d + 2)
+        for m in fb(d):
+            for k in indices:
+                assert outcome(flip_column, m, k) == outcome(dense_flip_column, m, k)
+            for k, l in product(indices, indices):
+                assert (outcome(flip_root_edge, m, k, l)
+                        == outcome(dense_flip_root_edge, m, k, l))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_relabelings_equal_validate(self, d):
+        for m in fb(d):
+            accepted = 0
+            for perm in permutations(range(1, d + 1)):
+                step = ConjugateStep(perm)
+                expected = outcome(dense_apply_step, m, step)
+                assert outcome(apply_step, m, step) == expected
+                accepted += not isinstance(expected, tuple)
+            assert accepted == len(ops_module._admissible_perms(to_phi_sigma(m).phi))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_replay_equals_reference(self, data):
+        t = data.draw(forests(max_size=16))
+        a = to_matrix(t)
+        d = a.dim
+        index = st.integers(min_value=0, max_value=d + 1)
+        steps, current = [], a
+        for _ in range(data.draw(st.integers(0, 6))):
+            kind = data.draw(st.integers(0, 5))
+            if kind == 0:  # admissible relabeling
+                step = ConjugateStep(data.draw(linear_extensions(from_matrix(current))))
+            elif kind == 1:  # arbitrary permutation, mostly inadmissible
+                step = ConjugateStep(tuple(data.draw(st.permutations(range(1, d + 1)))))
+            elif kind == 2:
+                step = ColumnFlipStep(data.draw(index))
+            elif kind == 3 and valid_edge_flip_pairs(current):
+                step = RootEdgeFlipStep(*data.draw(
+                    st.sampled_from(valid_edge_flip_pairs(current))))
+            else:  # arbitrary (k, l), mostly failing
+                step = RootEdgeFlipStep(data.draw(index), data.draw(index))
+            steps.append(step)
+            try:  # after a failing step, later steps are drawn for the last matrix
+                current = dense_apply_step(current, step)
+            except (FanoBottError, ValueError):
+                pass
+        digests = data.draw(st.integers(0, 2))
+        if digests:
+            steps = OpSequence(tuple(steps), a.digest(),
+                               current.digest() if digests == 1 else "0" * 64)
+        assert outcome(replay, a, steps) == outcome(reference_replay, a, steps)
+
+
 class TestClosure:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_flips_stay_inside_enumeration(self, d):
@@ -529,7 +667,9 @@ class TestBfsClosure:
     def test_relabels_each_orbit_once(self, monkeypatch):
         # d=5: 945 matrices in 160 relabeling orbits, whose first members
         # have 1,690 admissible relabelings together; one neighbors call
-        # per matrix makes 945 generator calls and 14,400 conjugations
+        # per matrix makes 945 generator calls and 14,400 relabelings.
+        # Every matrix gets its 5 column flips and the 1,900 root edges of
+        # the 945 matrices their flips, and no move is a dense conjugation.
         counts = {"conjugate": 0, "_admissible_perms": 0}
         for name in counts:
             original = getattr(ops_module, name)
@@ -539,8 +679,18 @@ class TestBfsClosure:
                 return original(*args)
 
             monkeypatch.setattr(ops_module, name, counting)
+        moves = defaultdict(int)
+        original_move = ops_module._move
+
+        def counting_move(ps, step):
+            moves[type(step).__name__] += 1
+            return original_move(ps, step)
+
+        monkeypatch.setattr(ops_module, "_move", counting_move)
         bfs_closure_classes(5)
-        assert counts == {"conjugate": 1690, "_admissible_perms": 160}
+        assert counts == {"conjugate": 0, "_admissible_perms": 160}
+        assert moves == {"ConjugateStep": 1690, "ColumnFlipStep": 945 * 5,
+                         "RootEdgeFlipStep": 1900}
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_relabel_and_column_flips_match_variety_codes(self, d):
