@@ -221,11 +221,6 @@ def flip_root_edge(a: FanoBottMatrix, k: int, l: int) -> FanoBottMatrix:
     return _matrix_of(_move(to_phi_sigma(a), RootEdgeFlipStep(k, l)))
 
 
-def apply_step(a: FanoBottMatrix, step: OpStep) -> FanoBottMatrix:
-    """Apply one step; a relabeling out of the admissible set raises validate's error."""
-    return _matrix_of(_move(to_phi_sigma(a), step))
-
-
 def _replay_steps(a: FanoBottMatrix, steps: OpSequence | Iterable[OpStep]
                   ) -> tuple[PhiSigma, PhiSigma, FanoBottMatrix]:
     """The source's and the reached parent/sign data, and the reached matrix.

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -444,11 +446,83 @@ class TestErrorPaths:
         ["classify", "-d", "3", "--mode", "diffeo", "--jobs", "2"],
         ["oracle", "-d", "3", "--jobs", "2"],
     ], ids=["classify", "oracle"])
-    def test_jobs_is_a_usage_error(self, capsys, argv):
+    def test_jobs_is_a_usage_error(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # Only the command's parser is built, yet the top-level usage line
+        # names every command.
+        assert captured.err == (
+            f"usage: fanobott [-h]\n                {CHOICES}\n                ...\n"
+            "fanobott: error: unrecognized arguments: --jobs 2\n")
+
+
+COMMAND_HELP = {
+    "validate": "check a matrix against the row templates",
+    "enumerate": "stream every admissible matrix",
+    "classify": "count canonical classes with representatives",
+    "canon": "canonical code of one matrix or forest",
+    "equiv": "decide equivalence of two inputs",
+    "witness": "construct a replayable move sequence",
+    "certify": "verify a witness end to end",
+    "sve": "square-vanishing element inventory",
+    "peel": "leaf counts under repeated leaf cutting",
+    "forest-dot": "DOT rendering of the forest",
+    "oracle": "cross-check move reachability against codes",
+}
+CHOICES = "{" + ",".join(COMMAND_HELP) + "}"
+
+
+def exit_code(argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    return err.value.code
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv, built", [
+        (["enumerate", "-d", "3", "--count"], 1),
+        (["--help"], 11),
+        (["bogus"], 11),
+    ], ids=["command", "help", "unknown"])
+    def test_builds_only_the_named_parser(self, monkeypatch, capsys, argv, built):
+        calls = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting_add_parser(self, name, **kwargs):
+            calls.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        assert len(calls) == built
+
+    def test_help_lists_every_command(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+        assert exit_code(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: fanobott [-h]\n                {CHOICES}\n")
+        for name, summary in COMMAND_HELP.items():
+            assert re.search(rf"^    {re.escape(name)} +{re.escape(summary)}$", out, re.M)
+
+    @pytest.mark.parametrize("name", COMMAND_HELP)
+    def test_command_help(self, capsys, name):
+        assert exit_code([name, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: fanobott {name}")
+
+    def test_unknown_command_names_every_choice(self, capsys):
+        assert exit_code(["bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        choices = ", ".join(map(repr, COMMAND_HELP))
+        assert captured.err.endswith(
+            f"invalid choice: 'bogus' (choose from {choices})\n")
 
 
 def test_import_leaves_numpy_out():

@@ -54,7 +54,8 @@ from fanobott import (
 from fanobott import forest as forest_module
 from fanobott import ops as ops_module
 from fanobott.forest import _match_forests
-from fanobott.ops import apply_step, neighbors
+from fanobott.matrix import _matrix_of
+from fanobott.ops import neighbors
 from test_forest import (
     flip_children_at,
     flip_edges,
@@ -504,13 +505,14 @@ class TestDenseReference:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_relabelings_equal_validate(self, d):
         for m in fb(d):
+            ps = to_phi_sigma(m)
             accepted = 0
             for perm in permutations(range(1, d + 1)):
                 step = ConjugateStep(perm)
                 expected = outcome(dense_apply_step, m, step)
-                assert outcome(apply_step, m, step) == expected
+                assert outcome(lambda: _matrix_of(ops_module._move(ps, step))) == expected
                 accepted += not isinstance(expected, tuple)
-            assert accepted == len(ops_module._admissible_perms(to_phi_sigma(m).phi))
+            assert accepted == len(ops_module._admissible_perms(ps.phi))
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
