@@ -156,7 +156,11 @@ def leaves(t: SignedRootedForest) -> tuple[int, ...]:
 
 def from_matrix(a: FanoBottMatrix) -> SignedRootedForest:
     """Forest with parent(i) = phi(i) where phi(i) <= d, roots elsewhere."""
-    ps = to_phi_sigma(a)
+    return _forest_of(to_phi_sigma(a))
+
+
+def _forest_of(ps: PhiSigma) -> SignedRootedForest:
+    """The forest of parent/sign data that is already known to be valid."""
     d = ps.dim
     parents = tuple(p if p <= d else 0 for p in ps.phi)
     signs = tuple(s if s is not None else "" for s in ps.sigma)

@@ -16,8 +16,8 @@ underlying towers:
 Each move is applied to parent/sign data, in O(d), and matrices are built
 only where a caller needs one.  A replayable witness is a sequence of
 steps together with digests of its endpoints.  For small d the move graph
-itself is searched exhaustively, which serves as ground truth for the
-canonical codes.
+itself is searched exhaustively, on stream positions, which serves as
+ground truth for the canonical codes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,11 @@ from fanobott.matrix import (
     PhiSigma,
     Record,
     _matrix_of,
+    _phi_sigmas,
+    _position,
     _require_int,
+    _row_weights,
+    count_matrices,
     enumerate_matrices,
     to_phi_sigma,
     validate,
@@ -203,9 +207,12 @@ def flip_column(a: FanoBottMatrix, k: int) -> FanoBottMatrix:
 
     New column k is the negated old one; new column j gains the old column
     k times entry (k, j).  The result stays admissible: on the forest every
-    edge from vertex k to one of its children changes sign.
+    edge from vertex k to one of its children changes sign.  At a leaf k
+    nothing changes, and a itself comes back.
     """
-    return _matrix_of(_move(to_phi_sigma(a), ColumnFlipStep(k)))
+    ps = to_phi_sigma(a)
+    moved = _move(ps, ColumnFlipStep(k))
+    return a if moved == ps else _matrix_of(moved)
 
 
 def flip_root_edge(a: FanoBottMatrix, k: int, l: int) -> FanoBottMatrix:
@@ -311,14 +318,6 @@ def _admissible_perms(phi: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
-def _flip_neighbors(ps: PhiSigma, use_root_edge_flips: bool) -> list[PhiSigma]:
-    """The column flips at 1..d, then the root-edge flips when enabled."""
-    steps: list[OpStep] = [ColumnFlipStep(k) for k in range(1, ps.dim + 1)]
-    if use_root_edge_flips:
-        steps += [RootEdgeFlipStep(k, l) for k, l in _valid_root_edge_pairs(ps)]
-    return [_move(ps, step) for step in steps]
-
-
 def _relabel_neighbors(ps: PhiSigma) -> list[PhiSigma]:
     """The admissible relabelings of ps, in lexicographic order of perm.
 
@@ -337,32 +336,54 @@ def neighbors(a: FanoBottMatrix, *,
     of perm.
     """
     ps = to_phi_sigma(a)
+    steps: list[OpStep] = [ColumnFlipStep(k) for k in range(1, ps.dim + 1)]
+    if use_root_edge_flips:
+        steps += [RootEdgeFlipStep(k, l) for k, l in _valid_root_edge_pairs(ps)]
     return [_matrix_of(n) for n in
-            _flip_neighbors(ps, use_root_edge_flips) + _relabel_neighbors(ps)]
+            [_move(ps, step) for step in steps] + _relabel_neighbors(ps)]
 
 
-def bfs_closure_classes(d: int, *,
-                        use_root_edge_flips: bool = True
-                        ) -> list[list[FanoBottMatrix]]:
-    """Connected components of the move graph on the whole enumeration.
+def _flip_deltas(ps: PhiSigma, toggles: Sequence[int],
+                 use_root_edge_flips: bool) -> list[int]:
+    """Stream-position deltas of the flip moves of ps, one per move.
 
-    This is ground truth for move reachability; intended for d <= 7.
-    With use_root_edge_flips=False only relabelings and column flips are
-    used, which characterizes isomorphism of the underlying varieties.
-    Classes come in first-occurrence order of the enumeration stream and
-    list their members in stream order.
-
-    Every matrix gets all of its flip edges, but the relabel edges are
-    taken only from the first matrix of each relabeling orbit in stream
-    order.  Conjugations compose, so a conjugate of conj(m, p) is
-    conj(m, q∘p): every member of the orbit has the whole orbit as its
-    admissible conjugates, and once the first member is joined to all of
-    them the others' relabel edges merge nothing.
+    toggles[p-1] = (d - p) * weight(p) is how far a sign change of row p
+    moves the position: up from "+" to "-", down from "-" to "+".  The list
+    holds the column flips at 1..d, each the sum of the toggles of k's
+    children (0 at a leaf), then, when enabled, the root-edge flips (k, l)
+    by increasing k, each the one toggle of row k.
     """
-    mats = list(enumerate_matrices(d))
-    index = {m: i for i, m in enumerate(mats)}
-    parent = list(range(len(mats)))
-    relabeled = bytearray(len(mats))
+    phi, sigma = ps.phi, ps.sigma
+    d = len(phi)
+    columns = [0] * (d + 1)
+    edges = []
+    for p0, q in enumerate(phi):
+        if q <= d:
+            toggle = toggles[p0] if sigma[p0] == "+" else -toggles[p0]
+            columns[q] += toggle
+            if use_root_edge_flips and phi[q - 1] > d:
+                edges.append(toggle)
+    return columns[1:d + 1] + edges
+
+
+def _closure_roots(d: int, use_root_edge_flips: bool = True) -> list[int]:
+    """Move-graph components on stream positions: the smallest position of
+    each position's class, for positions 0 .. (2d-1)!!-1.
+
+    No matrix is built.  Flip edges are position deltas (see
+    :func:`_flip_deltas`); every flip undoes itself, so each flip edge is
+    joined once, from its smaller end.  Relabel edges are taken only from
+    the first position of each relabeling orbit: conjugations compose, so
+    a conjugate of conj(m, p) is conj(m, q∘p), every member of the orbit
+    has the whole orbit as its admissible conjugates, and once the first
+    member is joined to all of them the others' relabel edges merge
+    nothing.  Each relabeling runs through :func:`_move`, with its checks,
+    and is then encoded.
+    """
+    weights = _row_weights(d)
+    toggles = [(d - p) * w for p, w in enumerate(weights, 1)]
+    parent = list(range(count_matrices(d)))
+    relabeled = bytearray(len(parent))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -375,19 +396,38 @@ def bfs_closure_classes(d: int, *,
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
-    for i, m in enumerate(mats):
-        ps = to_phi_sigma(m)
-        for n in _flip_neighbors(ps, use_root_edge_flips):
-            union(i, index[_matrix_of(n)])
+    for i, ps in enumerate(_phi_sigmas(d)):
+        for delta in _flip_deltas(ps, toggles, use_root_edge_flips):
+            if delta > 0:
+                union(i, i + delta)
         if relabeled[i]:
             continue
         for n in _relabel_neighbors(ps):
-            j = index[_matrix_of(n)]
+            j = _position(n, weights)
             relabeled[j] = 1
             union(i, j)
+    # A union keeps the smaller root and path halving only lowers parents,
+    # so parent[x] <= x, and one pass in order resolves every root.
+    for i, p in enumerate(parent):
+        parent[i] = parent[p]
+    return parent
+
+
+def bfs_closure_classes(d: int, *,
+                        use_root_edge_flips: bool = True
+                        ) -> list[list[FanoBottMatrix]]:
+    """Connected components of the move graph on the whole enumeration.
+
+    This is ground truth for move reachability; intended for d <= 7.
+    With use_root_edge_flips=False only relabelings and column flips are
+    used, which characterizes isomorphism of the underlying varieties.
+    Classes come in first-occurrence order of the enumeration stream and
+    list their members in stream order.  The search runs on stream
+    positions (:func:`_closure_roots`); only the grouping builds matrices.
+    """
     groups: dict[int, list[FanoBottMatrix]] = {}
-    for i, m in enumerate(mats):
-        groups.setdefault(find(i), []).append(m)
+    for root, m in zip(_closure_roots(d, use_root_edge_flips), enumerate_matrices(d)):
+        groups.setdefault(root, []).append(m)
     return list(groups.values())
 
 

@@ -312,18 +312,20 @@ class TestOracle:
         assert hashlib.sha256(out.encode()).hexdigest() == golden["sha256"]
 
     def test_split_class_disagrees(self, capsys, monkeypatch):
-        classes = ops.bfs_closure_classes(4)
-        big = max(classes, key=len)
-        split = [c for c in classes if c is not big] + [big[:1], big[1:]]
-        monkeypatch.setattr(ops, "bfs_closure_classes", lambda d: split)
+        roots = ops._closure_roots(4)
+        big = max(roots, key=roots.count)
+        first, second, *_ = [i for i, r in enumerate(roots) if r == big]
+        split = [second if r == big and i != first else r for i, r in enumerate(roots)]
+        monkeypatch.setattr(ops, "_closure_roots", lambda d: split)
         code, out, _ = run(capsys, "oracle", "-d", "4")
         assert code == 1
         assert out == '{"agree":false,"bfs_classes":11,"code_classes":10,"dim":4}\n'
 
     def test_merged_classes_disagree(self, capsys, monkeypatch):
-        classes = ops.bfs_closure_classes(4)
-        merged = [classes[0] + classes[1]] + classes[2:]
-        monkeypatch.setattr(ops, "bfs_closure_classes", lambda d: merged)
+        roots = ops._closure_roots(4)
+        first, second = sorted(set(roots))[:2]
+        merged = [first if r == second else r for r in roots]
+        monkeypatch.setattr(ops, "_closure_roots", lambda d: merged)
         code, out, _ = run(capsys, "oracle", "-d", "4")
         assert code == 1
         assert out == '{"agree":false,"bfs_classes":9,"code_classes":10,"dim":4}\n'

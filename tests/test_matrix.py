@@ -26,7 +26,14 @@ from fanobott import (
     validate,
 )
 from fanobott import matrix as matrix_module
-from fanobott.matrix import _matrices_at, _violation
+from fanobott.matrix import (
+    _matrices_at,
+    _matrix_of,
+    _phi_sigmas,
+    _position,
+    _row_weights,
+    _violation,
+)
 
 
 def all_upper_triangular_grids(d):
@@ -467,6 +474,37 @@ class TestEnumerate:
     def test_matrix_at_rejects_positions_outside_the_stream(self, d, position):
         with pytest.raises(ValueError):
             list(_matrices_at(d, [position]))
+
+
+class TestStreamPositions:
+    """The codec between parent/sign data and stream positions."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_encode_inverts_decode(self, d):
+        weights = _row_weights(d)
+        assert [_position(ps, weights) for ps in _phi_sigmas(d)] \
+            == list(range(count_matrices(d)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_decode_follows_the_stream(self, d):
+        stream = fb(d) if d <= 5 else list(enumerate_matrices(d))
+        assert [_matrix_of(ps) for ps in _phi_sigmas(d)] == stream
+
+    def test_weights_multiply_the_choice_counts_before(self):
+        # rows 1..4 of a 5 x 5 matrix offer 9, 7, 5 and 3 choices
+        assert _row_weights(5) == [1, 9, 63, 315, 945]
+        assert _row_weights(1) == [1]
+
+    def test_decode_rejects_nonpositive_dimension(self):
+        with pytest.raises(ValueError):
+            list(_phi_sigmas(0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(admissible_matrices(max_dim=12))
+    def test_position_decodes_to_the_matrix(self, m):
+        position = _position(to_phi_sigma(m), _row_weights(m.dim))
+        assert 0 <= position < count_matrices(m.dim)
+        assert list(_matrices_at(m.dim, [position])) == [m]
 
 
 class TestDirectSum:

@@ -52,9 +52,10 @@ from fanobott import (
     witness_from_json,
 )
 from fanobott import forest as forest_module
+from fanobott import matrix as matrix_module
 from fanobott import ops as ops_module
-from fanobott.forest import _match_forests
-from fanobott.matrix import _matrix_of
+from fanobott.forest import _match_forests, _phi_sigma_of
+from fanobott.matrix import _matrix_of, _phi_sigmas, _position, _row_weights
 from fanobott.ops import neighbors
 from test_forest import (
     flip_children_at,
@@ -439,6 +440,18 @@ class TestColumnFlip:
             for k in range(1, a.dim + 1):
                 assert flip_column(a, k) == reference_flip_column(a, k)
 
+    def test_leaf_flip_returns_its_input(self, a6, monkeypatch):
+        kids = children_map(from_matrix(a6))
+        leaves = [k for k in kids if not kids[k]]
+        assert leaves == [1, 2, 4]
+
+        def no_rows(*args):
+            raise AssertionError("a leaf flip built rows")
+
+        monkeypatch.setattr(matrix_module, "_rows_bottom_up", no_rows)
+        for k in leaves:
+            assert flip_column(a6, k) is a6
+
     @pytest.mark.parametrize("k", [0, 7, -1])
     def test_rejects_column_out_of_range(self, a6, k):
         with pytest.raises(ValueError) as err:
@@ -667,20 +680,25 @@ class TestBfsClosure:
             == reference_bfs_closure_classes(d, use_root_edge_flips)
 
     def test_relabels_each_orbit_once(self, monkeypatch):
-        # d=5: 945 matrices in 160 relabeling orbits, whose first members
+        # d=5: 945 positions in 160 relabeling orbits, whose first members
         # have 1,690 admissible relabelings together; one neighbors call
         # per matrix makes 945 generator calls and 14,400 relabelings.
-        # Every matrix gets its 5 column flips and the 1,900 root edges of
-        # the 945 matrices their flips, and no move is a dense conjugation.
-        counts = {"conjugate": 0, "_admissible_perms": 0}
-        for name in counts:
-            original = getattr(ops_module, name)
+        # Flip edges are position deltas, so only relabelings run through
+        # _move, none of them is a dense conjugation, and no matrix is
+        # built or read.
+        counts = {"conjugate": 0, "_admissible_perms": 0, "_matrix_of": 0,
+                  "to_phi_sigma": 0}
+        for module in (ops_module, matrix_module):
+            for name in counts:
+                original = getattr(module, name, None)
+                if original is None:
+                    continue
 
-            def counting(*args, name=name, original=original):
-                counts[name] += 1
-                return original(*args)
+                def counting(*args, name=name, original=original):
+                    counts[name] += 1
+                    return original(*args)
 
-            monkeypatch.setattr(ops_module, name, counting)
+                monkeypatch.setattr(module, name, counting)
         moves = defaultdict(int)
         original_move = ops_module._move
 
@@ -689,12 +707,12 @@ class TestBfsClosure:
             return original_move(ps, step)
 
         monkeypatch.setattr(ops_module, "_move", counting_move)
-        bfs_closure_classes(5)
-        assert counts == {"conjugate": 0, "_admissible_perms": 160}
-        assert moves == {"ConjugateStep": 1690, "ColumnFlipStep": 945 * 5,
-                         "RootEdgeFlipStep": 1900}
+        ops_module._closure_roots(5)
+        assert counts == {"conjugate": 0, "_admissible_perms": 160,
+                          "_matrix_of": 0, "to_phi_sigma": 0}
+        assert moves == {"ConjugateStep": 1690}
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_relabel_and_column_flips_match_variety_codes(self, d):
         by_code = {}
         for m in fb(d):
@@ -703,7 +721,58 @@ class TestBfsClosure:
         bfs = {frozenset(cls)
                for cls in bfs_closure_classes(d, use_root_edge_flips=False)}
         assert bfs == {frozenset(v) for v in by_code.values()}
-        assert len(bfs) == {2: 2, 3: 5, 4: 13, 5: 37}[d]
+        assert len(bfs) == {2: 2, 3: 5, 4: 13, 5: 37, 6: 111}[d]
+
+
+def flip_steps(ps, use_root_edge_flips):
+    """Column flips at 1..d, then the root-edge flips (k, l) by increasing k."""
+    d = ps.dim
+    steps = [ColumnFlipStep(k) for k in range(1, d + 1)]
+    if use_root_edge_flips:
+        steps += [RootEdgeFlipStep(k, l) for k, l in enumerate(ps.phi, 1)
+                  if l <= d and ps.phi[l - 1] == d + 1]
+    return steps
+
+
+def flip_deltas_and_moves(ps, use_root_edge_flips):
+    """_flip_deltas of ps, and the position differences of its flip moves."""
+    weights = _row_weights(ps.dim)
+    toggles = [(ps.dim - p) * w for p, w in enumerate(weights, 1)]
+    here = _position(ps, weights)
+    moved = [_position(ops_module._move(ps, step), weights) - here
+             for step in flip_steps(ps, use_root_edge_flips)]
+    return ops_module._flip_deltas(ps, toggles, use_root_edge_flips), moved
+
+
+class TestFlipDeltas:
+    """Flip edges as stream-position deltas, against the moves themselves."""
+
+    @pytest.mark.parametrize("use_root_edge_flips", [True, False])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_every_flip_at_every_position(self, d, use_root_edge_flips):
+        for ps in _phi_sigmas(d):
+            deltas, moved = flip_deltas_and_moves(ps, use_root_edge_flips)
+            assert deltas == moved
+
+    @settings(max_examples=200, deadline=None)
+    @given(forests(max_size=12), st.booleans())
+    def test_every_flip_up_to_12(self, t, use_root_edge_flips):
+        if not t.size:
+            return
+        deltas, moved = flip_deltas_and_moves(_phi_sigma_of(t), use_root_edge_flips)
+        assert deltas == moved
+
+    @pytest.mark.parametrize("use_root_edge_flips", [True, False])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_roots_are_the_first_class_members(self, d, use_root_edge_flips):
+        roots = ops_module._closure_roots(d, use_root_edge_flips)
+        classes = bfs_closure_classes(d, use_root_edge_flips=use_root_edge_flips)
+        position = {m: i for i, m in enumerate(fb(d))}
+        expected = [0] * len(roots)
+        for cls in classes:
+            for m in cls:
+                expected[position[m]] = position[cls[0]]
+        assert roots == expected
 
 
 class TestFindWitness:
