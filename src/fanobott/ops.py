@@ -32,7 +32,6 @@ from fanobott.matrix import (
     Record,
     _matrix_of,
     _phi_sigmas,
-    _position,
     _require_int,
     _row_weights,
     count_matrices,
@@ -318,72 +317,86 @@ def _admissible_perms(phi: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
-def _relabel_neighbors(ps: PhiSigma) -> list[PhiSigma]:
-    """The admissible relabelings of ps, in lexicographic order of perm.
-
-    Only the relabelings that keep every label below its parent's are
-    applied, since every other permutation leaves the admissible set.
-    """
-    return [_move(ps, ConjugateStep(perm)) for perm in _admissible_perms(ps.phi)]
-
-
 def neighbors(a: FanoBottMatrix, *,
               use_root_edge_flips: bool = True) -> list[FanoBottMatrix]:
     """All admissible matrices one move away from a.
 
     The list holds the column flips at 1..d, then the root-edge flips
     (when enabled), then the admissible conjugates in lexicographic order
-    of perm.
+    of perm, the only conjugates that stay in the admissible set.
     """
     ps = to_phi_sigma(a)
     steps: list[OpStep] = [ColumnFlipStep(k) for k in range(1, ps.dim + 1)]
     if use_root_edge_flips:
         steps += [RootEdgeFlipStep(k, l) for k, l in _valid_root_edge_pairs(ps)]
-    return [_matrix_of(n) for n in
-            [_move(ps, step) for step in steps] + _relabel_neighbors(ps)]
+    steps += [ConjugateStep(perm) for perm in _admissible_perms(ps.phi)]
+    return [_matrix_of(_move(ps, step)) for step in steps]
 
 
-def _flip_deltas(ps: PhiSigma, toggles: Sequence[int],
+def _move_deltas(ps: PhiSigma, weights: Sequence[int],
                  use_root_edge_flips: bool) -> list[int]:
-    """Stream-position deltas of the flip moves of ps, one per move.
+    """Stream-position deltas of the flips and adjacent swaps of ps.
 
-    toggles[p-1] = (d - p) * weight(p) is how far a sign change of row p
-    moves the position: up from "+" to "-", down from "-" to "+".  The list
+    A sign change of row p, its toggle, moves the position by
+    (d - p) * weight(p): up from "+" to "-", down from "-" to "+".  The list
     holds the column flips at 1..d, each the sum of the toggles of k's
     children (0 at a leaf), then, when enabled, the root-edge flips (k, l)
-    by increasing k, each the one toggle of row k.
+    by increasing k, each the one toggle of row k, then the relabelings by
+    the transpositions (x x+1) for x = 1..d-1, skipping each x with
+    phi(x) = x+1, whose swap would put a child above its parent.
+
+    A swap gives row x the edge of old row x+1 and row x+1 the edge of old
+    row x; neither parent label changes, since both parents lie above x+1.
+    Each child of x now points at x+1, one step further along its choice
+    list, and each child of x+1 one step back, so the children add
+    below[x] - below[x+1], where below[q] sums the weights of q's children.
     """
     phi, sigma = ps.phi, ps.sigma
     d = len(phi)
     columns = [0] * (d + 1)
+    below = [0] * (d + 1)
+    index = [0] * (d + 1)  # index[p]: row p's choice index, 0 at a root
     edges = []
-    for p0, q in enumerate(phi):
+    for p, q, s, w in zip(range(1, d + 1), phi, sigma, weights):
         if q <= d:
-            toggle = toggles[p0] if sigma[p0] == "+" else -toggles[p0]
+            toggle = (d - p) * w
+            if s == "+":
+                index[p] = q - p
+            else:
+                index[p] = d + q - 2 * p
+                toggle = -toggle
             columns[q] += toggle
+            below[q] += w
             if use_root_edge_flips and phi[q - 1] > d:
                 edges.append(toggle)
-    return columns[1:d + 1] + edges
+    deltas = columns[1:] + edges
+    for x in range(1, d):
+        q, r = phi[x - 1], phi[x]
+        if q == x + 1:
+            continue
+        # the choice indices of the new rows x and x+1
+        new_x = 0 if r > d else r - x if sigma[x] == "+" else d + r - 2 * x
+        new_x1 = 0 if q > d else q - x - 1 if sigma[x - 1] == "+" else d + q - 2 * x - 2
+        deltas.append((new_x - index[x]) * weights[x - 1]
+                      + (new_x1 - index[x + 1]) * weights[x]
+                      + below[x] - below[x + 1])
+    return deltas
 
 
 def _closure_roots(d: int, use_root_edge_flips: bool = True) -> list[int]:
     """Move-graph components on stream positions: the smallest position of
     each position's class, for positions 0 .. (2d-1)!!-1.
 
-    No matrix is built.  Flip edges are position deltas (see
-    :func:`_flip_deltas`); every flip undoes itself, so each flip edge is
-    joined once, from its smaller end.  Relabel edges are taken only from
-    the first position of each relabeling orbit: conjugations compose, so
-    a conjugate of conj(m, p) is conj(m, q∘p), every member of the orbit
-    has the whole orbit as its admissible conjugates, and once the first
-    member is joined to all of them the others' relabel edges merge
-    nothing.  Each relabeling runs through :func:`_move`, with its checks,
-    and is then encoded.
+    No matrix is built and no move is applied: every edge is a position
+    delta (see :func:`_move_deltas`).  The admissible relabelings of a
+    forest are its linear extensions, and any two linear extensions are
+    joined by swaps of adjacent labels that are not parent and child (the
+    bubble-sort argument), so the adjacent swaps connect each relabeling
+    orbit as all conjugations do.  Every flip and every swap undoes
+    itself, so each edge is joined once, from its smaller end.
     """
     weights = _row_weights(d)
-    toggles = [(d - p) * w for p, w in enumerate(weights, 1)]
     parent = list(range(count_matrices(d)))
-    relabeled = bytearray(len(parent))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -397,15 +410,9 @@ def _closure_roots(d: int, use_root_edge_flips: bool = True) -> list[int]:
             parent[max(rx, ry)] = min(rx, ry)
 
     for i, ps in enumerate(_phi_sigmas(d)):
-        for delta in _flip_deltas(ps, toggles, use_root_edge_flips):
+        for delta in _move_deltas(ps, weights, use_root_edge_flips):
             if delta > 0:
                 union(i, i + delta)
-        if relabeled[i]:
-            continue
-        for n in _relabel_neighbors(ps):
-            j = _position(n, weights)
-            relabeled[j] = 1
-            union(i, j)
     # A union keeps the smaller root and path halving only lowers parents,
     # so parent[x] <= x, and one pass in order resolves every root.
     for i, p in enumerate(parent):

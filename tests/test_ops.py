@@ -679,15 +679,11 @@ class TestBfsClosure:
         assert bfs_closure_classes(d, use_root_edge_flips=use_root_edge_flips) \
             == reference_bfs_closure_classes(d, use_root_edge_flips)
 
-    def test_relabels_each_orbit_once(self, monkeypatch):
-        # d=5: 945 positions in 160 relabeling orbits, whose first members
-        # have 1,690 admissible relabelings together; one neighbors call
-        # per matrix makes 945 generator calls and 14,400 relabelings.
-        # Flip edges are position deltas, so only relabelings run through
-        # _move, none of them is a dense conjugation, and no matrix is
-        # built or read.
-        counts = {"conjugate": 0, "_admissible_perms": 0, "_matrix_of": 0,
-                  "to_phi_sigma": 0}
+    def test_search_applies_no_move(self, monkeypatch):
+        # Every edge is a position delta: no move is applied, no relabeling
+        # is generated, and no matrix is built, read or conjugated.
+        counts = {"_move": 0, "_admissible_perms": 0, "conjugate": 0,
+                  "_matrix_of": 0, "to_phi_sigma": 0}
         for module in (ops_module, matrix_module):
             for name in counts:
                 original = getattr(module, name, None)
@@ -699,18 +695,18 @@ class TestBfsClosure:
                     return original(*args)
 
                 monkeypatch.setattr(module, name, counting)
-        moves = defaultdict(int)
-        original_move = ops_module._move
+        assert len(set(ops_module._closure_roots(5))) == 25
+        assert counts == dict.fromkeys(counts, 0)
 
-        def counting_move(ps, step):
-            moves[type(step).__name__] += 1
-            return original_move(ps, step)
+    @pytest.mark.parametrize("use_root_edge_flips", [True, False])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_roots_equal_orbit_reference(self, d, use_root_edge_flips):
+        assert ops_module._closure_roots(d, use_root_edge_flips) \
+            == reference_closure_roots(d, use_root_edge_flips)
 
-        monkeypatch.setattr(ops_module, "_move", counting_move)
-        ops_module._closure_roots(5)
-        assert counts == {"conjugate": 0, "_admissible_perms": 160,
-                          "_matrix_of": 0, "to_phi_sigma": 0}
-        assert moves == {"ConjugateStep": 1690}
+    def test_class_counts_at_d7(self):
+        assert len(set(ops_module._closure_roots(7))) == 207
+        assert len(set(ops_module._closure_roots(7, False))) == 345
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_relabel_and_column_flips_match_variety_codes(self, d):
@@ -734,14 +730,75 @@ def flip_steps(ps, use_root_edge_flips):
     return steps
 
 
-def flip_deltas_and_moves(ps, use_root_edge_flips):
-    """_flip_deltas of ps, and the position differences of its flip moves."""
+def swap_step(d, x):
+    """The relabeling by the transposition (x x+1)."""
+    perm = list(range(1, d + 1))
+    perm[x - 1], perm[x] = x + 1, x
+    return ConjugateStep(tuple(perm))
+
+
+def move_deltas(ps, use_root_edge_flips):
+    """_move_deltas of ps, with the weights _closure_roots uses."""
+    return ops_module._move_deltas(ps, _row_weights(ps.dim), use_root_edge_flips)
+
+
+def position_differences(ps, steps):
+    """How far each step moves ps in the stream, for the steps _move accepts."""
     weights = _row_weights(ps.dim)
-    toggles = [(ps.dim - p) * w for p, w in enumerate(weights, 1)]
     here = _position(ps, weights)
-    moved = [_position(ops_module._move(ps, step), weights) - here
-             for step in flip_steps(ps, use_root_edge_flips)]
-    return ops_module._flip_deltas(ps, toggles, use_root_edge_flips), moved
+    moved = []
+    for step in steps:
+        try:
+            moved.append(_position(ops_module._move(ps, step), weights) - here)
+        except InvalidMatrixError:
+            pass
+    return moved
+
+
+def flip_deltas_and_moves(ps, use_root_edge_flips):
+    """The flip prefix of _move_deltas, and the position differences of the
+    flip moves."""
+    steps = flip_steps(ps, use_root_edge_flips)
+    return (move_deltas(ps, use_root_edge_flips)[:len(steps)],
+            position_differences(ps, steps))
+
+
+def swap_deltas_and_moves(ps, use_root_edge_flips):
+    """The swap suffix of _move_deltas, and the position differences of the
+    admissible relabelings by (x x+1), x = 1..d-1."""
+    flips = len(flip_steps(ps, use_root_edge_flips))
+    swaps = [swap_step(ps.dim, x) for x in range(1, ps.dim)]
+    return (move_deltas(ps, use_root_edge_flips)[flips:],
+            position_differences(ps, swaps))
+
+
+def reference_closure_roots(d, use_root_edge_flips=True):
+    """The orbit search the swap deltas replaced: every flip through _move,
+    and every admissible relabeling through _move, from the first position
+    of each relabeling orbit, each result encoded to its position."""
+    weights = _row_weights(d)
+    parent = list(range(matrix_module.count_matrices(d)))
+    relabeled = bytearray(len(parent))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        parent[max(rx, ry)] = min(rx, ry)
+
+    for i, ps in enumerate(_phi_sigmas(d)):
+        for step in flip_steps(ps, use_root_edge_flips):
+            union(i, _position(ops_module._move(ps, step), weights))
+        if relabeled[i]:
+            continue
+        for perm in ops_module._admissible_perms(ps.phi):
+            j = _position(ops_module._move(ps, ConjugateStep(perm)), weights)
+            relabeled[j] = 1
+            union(i, j)
+    return [find(i) for i in range(len(parent))]
 
 
 class TestFlipDeltas:
@@ -773,6 +830,33 @@ class TestFlipDeltas:
             for m in cls:
                 expected[position[m]] = position[cls[0]]
         assert roots == expected
+
+
+class TestSwapDeltas:
+    """Relabelings by adjacent transpositions as stream-position deltas."""
+
+    @pytest.mark.parametrize("use_root_edge_flips", [True, False])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_every_swap_at_every_position(self, d, use_root_edge_flips):
+        for ps in _phi_sigmas(d):
+            deltas, moved = swap_deltas_and_moves(ps, use_root_edge_flips)
+            assert deltas == moved
+
+    @settings(max_examples=200, deadline=None)
+    @given(forests(max_size=12), st.booleans())
+    def test_every_swap_up_to_12(self, t, use_root_edge_flips):
+        if not t.size:
+            return
+        deltas, moved = swap_deltas_and_moves(_phi_sigma_of(t), use_root_edge_flips)
+        assert deltas == moved
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_skips_exactly_the_rejected_swaps(self, d):
+        for ps in _phi_sigmas(d):
+            rejected = [x for x in range(1, d)
+                        if not position_differences(ps, [swap_step(d, x)])]
+            assert rejected == [x for x in range(1, d) if ps.phi[x - 1] == x + 1]
+            assert len(move_deltas(ps, True)) == len(flip_steps(ps, True)) + d - 1 - len(rejected)
 
 
 class TestFindWitness:
