@@ -15,12 +15,14 @@ enumeration stream that reaches it, and ends with the smallest position
 of each forest code.  The representatives are the matrices at those
 positions, decoded with one choice table and printed in stream order,
 which is the first member of each class in the stream.  `oracle` runs
-the move-graph search on stream positions, codes each position from its
-parent/sign data, takes the set of diffeo codes of each search class,
-and checks that code and search class determine each other; it builds no
-matrix.  Memory follows the states of one layer and the classes for
-`classify`, and one union-find entry per position for `oracle`; nothing
-is printed before the work ends, so an error leaves stdout empty.
+the move-graph search on stream positions, reads the diffeo code id of
+every position from the same layered pass, and checks that code and
+search class determine each other: there must be as many (class, code)
+pairs as classes and as codes.  It builds no matrix, forest or code per
+position.  Memory follows the states of the layers and the classes for
+`classify`, and one union-find entry and one code id per position for
+`oracle`; nothing is printed before the work ends, so an error leaves
+stdout empty.
 
 A process loads only the modules its command runs: `matrix` and `forest`
 at import (the `--mode` choices come from `forest.MODES`), `ops` inside
@@ -45,7 +47,6 @@ from fanobott.matrix import (
     FanoBottMatrix,
     InvalidMatrixError,
     _matrices_at,
-    _phi_sigmas,
     count_matrices,
     enumerate_matrices,
     matrix_from_json,
@@ -180,17 +181,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     from fanobott import ops
 
     roots = ops._closure_roots(args.dim)
-    codes: dict[int, set[str]] = {}
-    for root, ps in zip(roots, _phi_sigmas(args.dim)):
-        code = forest.canonical_code(forest._forest_of(ps), forest.DIFFEO).code
-        codes.setdefault(root, set()).add(code)
+    ids = forest._code_ids(args.dim, forest.DIFFEO)
+    bfs_classes = len(set(roots))
+    code_classes = len(set(ids))
     # The partitions agree exactly when each class has one code and no two
-    # classes share a code.
-    code_classes = len(set().union(*codes.values()))
-    agree = code_classes == len(codes) and all(len(c) == 1 for c in codes.values())
+    # classes share a code: when there are as many (class, code) pairs as
+    # classes and as codes.
+    agree = len(set(zip(roots, ids))) == bfs_classes == code_classes
     print(_compact({
         "agree": agree,
-        "bfs_classes": len(codes),
+        "bfs_classes": bfs_classes,
         "code_classes": code_classes,
         "dim": args.dim,
     }))

@@ -25,13 +25,17 @@ reuses that pass: it pairs the vertices of two equivalent forests by their
 subtree codes and reads each vertex's flip from the pass's choices.  The
 same per-vertex rule also codes every matrix of one size at once, in a
 forward pass over layers of row choices that merges the prefixes with the
-same root codes and pending child tokens into one state, so the work and
-memory follow the states of one layer, not the labelled matrices.
+same root codes and pending child tokens into one state, so the work
+follows the states of the layers, not the labelled matrices.  Each layer
+numbers its states in stream order and keeps one transition column per
+row choice.  That one engine gives each code's first stream position
+(`classify`) and, by applying the columns layer by layer, the code id of
+every stream position (`oracle`), with no forest or code per position.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from fanobott.matrix import (
     FanoBottError,
@@ -300,48 +304,100 @@ def _bottom_up(t: SignedRootedForest, mode: str
     return kids, codes, flipped
 
 
-def _first_positions(d: int, mode: str) -> dict[str, int]:
-    """Each forest code of the d x d matrices with its smallest stream position.
+def _layers(d: int, mode: str) -> Iterator[tuple[list[list[int]], dict[tuple, int], list[int]]]:
+    """The state engine behind :func:`_first_positions` and :func:`_code_ids`.
 
     A forward pass over layers replaces building a forest per matrix:
     vertex k chooses at layer k.  Children carry smaller labels than their
     parents, so once vertices 1..k-1 have chosen, the subtree at k is
     complete, and what the rest of the pass can see is the state: the
     sorted root codes so far and the sorted (code, sign) tokens of each
-    pending vertex k..d.  A matrix's stream position is the sum over its
-    rows of choice index times row weight, with row 1 fastest as in
-    :func:`~fanobott.matrix.enumerate_matrices`, so each state keeps only
-    the smallest position that reaches it.  Layer k builds vertex k's code
-    once per state and files it, for each choice of row k, as a root or as
-    a token of the chosen parent.  After layer d every vertex is filed, and
-    distinct root tuples join to distinct forest codes.
+    pending vertex k..d.  Layer k builds vertex k's code once per state
+    and files it, for each choice of row k, as a root or as a token of the
+    chosen parent.  After layer d every vertex is filed, and distinct root
+    tuples join to distinct forest codes.
+
+    A matrix's stream position is the sum over its rows of choice index
+    times row weight, with row 1 fastest as in
+    :func:`~fanobott.matrix.enumerate_matrices`, so a prefix of rows 1..k
+    sits at base + j * W, with base < W its prefix of rows 1..k-1 and W
+    their choice count product.  Each layer's states are interned as
+    integers, visiting choices on the outside and the states in id order
+    on the inside: the visits then come in increasing order of their
+    smallest positions, so by induction the first visit to a state is its
+    smallest position, and ids follow stream-first order.
+
+    Yields (cols, states, first) for layers k = 1..d: cols[j][s] is the id
+    that state s of the layer before reaches when row k takes choice j;
+    states maps each (roots, pending) state to its id, in id order, and
+    first[t] is the smallest position of state t, increasing in t.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     states: dict[tuple, int] = {((), ((),) * d): 0}
+    first = [0]
     weight = 1
+    seen: dict[tuple[str, str], tuple[str, str]] = {}
     for k, choices in enumerate(_row_choices(d), 1):
         if mode == ROOTED:  # rooted codes ignore the signs, so the states drop them
             choices = [(q, "") for q, _ in choices]
-        layer: dict[tuple, int] = {}
-        for (roots, (tokens, *pending)), base in states.items():
+        codes = []
+        for _, pending in states:
+            tokens = pending[0]
             code = _vertex_code(tokens, mode, False)[0]
             # the state's tokens are sorted, so their codes already come in
             # the order that _vertex_code sorts a diffeo root's codes into
             root_code = "[" + ",".join([c for c, _ in tokens]) + "]" if mode == DIFFEO else code
-            for j, (q, s) in enumerate(choices):
+            # many states share their codes, so one tuple serves each pair
+            codes.append(seen.setdefault((code, root_code), (code, root_code)))
+        layer: dict[tuple, int] = {}
+        reached: list[int] = []
+        cols = []
+        for j, (q, s) in enumerate(choices):
+            offset = j * weight
+            col = []
+            for (roots, pending), (code, root_code), base in zip(states, codes, first):
                 if q > d:
-                    state = (tuple(sorted((*roots, root_code))), tuple(pending))
+                    state = (tuple(sorted((*roots, root_code))), pending[1:])
                 else:
-                    filed = pending.copy()
+                    _, *filed = pending
                     filed[q - k - 1] = tuple(sorted((*filed[q - k - 1], (code, s))))
                     state = (roots, tuple(filed))
-                position = base + j * weight
-                if layer.get(state, position) >= position:
-                    layer[state] = position
+                t = layer.get(state)
+                if t is None:
+                    t = layer[state] = len(reached)
+                    reached.append(base + offset)
+                col.append(t)
+            cols.append(col)
         states = layer
+        first = reached
         weight *= len(choices)
-    return {"|".join(roots): position for (roots, _), position in states.items()}
+        yield cols, states, first
+
+
+def _first_positions(d: int, mode: str) -> dict[str, int]:
+    """Each forest code of the d x d matrices with its smallest stream position.
+
+    The final states of :func:`_layers` are the forest codes, and the pass
+    gives each its smallest position.
+    """
+    for _, states, first in _layers(d, mode):
+        pass  # only the final layer is read
+    return {"|".join(roots): position for (roots, _), position in zip(states, first)}
+
+
+def _code_ids(d: int, mode: str) -> list[int]:
+    """The forest code id of every stream position of the d x d matrices.
+
+    Equal ids mean equal codes.  The prefixes of rows 1..k fill positions
+    base + j * W in blocks of one choice j, so each layer's ids are its
+    columns applied in turn to the previous layer's ids: about 1.5 times
+    (2d-1)!! list lookups in all, and no forest or code per position.
+    """
+    ids = [0]
+    for cols, _, _ in _layers(d, mode):
+        ids = [t for col in cols for t in map(col.__getitem__, ids)]
+    return ids
 
 
 def canonical_code(t: SignedRootedForest, mode: str) -> CanonicalCode:

@@ -364,22 +364,6 @@ def _row_weights(d: int) -> list[int]:
     return weights
 
 
-def _position(ps: PhiSigma, weights: Sequence[int]) -> int:
-    """The 0-based stream position of ps, with weights from :func:`_row_weights`.
-
-    Row p's choice index is 0 for a root, q - p for a "+" edge to q and
-    (d - p) + (q - p) for a "-" edge, the order of :func:`_row_choices`.
-    """
-    d = len(ps.phi)
-    position = 0
-    for p, q, s, w in zip(range(1, d + 1), ps.phi, ps.sigma, weights):
-        if s == "+":
-            position += (q - p) * w
-        elif s == "-":
-            position += (d + q - 2 * p) * w
-    return position
-
-
 def _matrices_at(d: int, positions: Iterable[int]) -> Iterator[FanoBottMatrix]:
     """Matrices at 0-based positions of :func:`enumerate_matrices`, one choice table."""
     per_row = _row_choices(d)

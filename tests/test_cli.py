@@ -330,6 +330,49 @@ class TestOracle:
         assert code == 1
         assert out == '{"agree":false,"bfs_classes":9,"code_classes":10,"dim":4}\n'
 
+    def test_split_code_disagrees(self, capsys, monkeypatch):
+        ids = forest._code_ids(4, DIFFEO)
+        big = max(ids, key=ids.count)
+        first = ids.index(big)
+        split = [len(set(ids)) if t == big and i != first else t for i, t in enumerate(ids)]
+        monkeypatch.setattr(forest, "_code_ids", lambda d, mode: split)
+        code, out, _ = run(capsys, "oracle", "-d", "4")
+        assert code == 1
+        assert out == '{"agree":false,"bfs_classes":10,"code_classes":11,"dim":4}\n'
+
+    def test_merged_codes_disagree(self, capsys, monkeypatch):
+        ids = forest._code_ids(4, DIFFEO)
+        merged = [0 if t == 1 else t for t in ids]
+        monkeypatch.setattr(forest, "_code_ids", lambda d, mode: merged)
+        code, out, _ = run(capsys, "oracle", "-d", "4")
+        assert code == 1
+        assert out == '{"agree":false,"bfs_classes":10,"code_classes":9,"dim":4}\n'
+
+    def test_equal_counts_with_other_partitions_disagree(self, capsys, monkeypatch):
+        # codes 0 and 1 merge and one position of code 2 leaves it: ten
+        # classes on both sides, yet the partitions differ
+        ids = forest._code_ids(4, DIFFEO)
+        moved = ids.index(2)
+        both = [len(set(ids)) if i == moved else 0 if t == 1 else t
+                for i, t in enumerate(ids)]
+        assert ids.count(2) > 1 and len(set(both)) == len(set(ids))
+        monkeypatch.setattr(forest, "_code_ids", lambda d, mode: both)
+        code, out, _ = run(capsys, "oracle", "-d", "4")
+        assert code == 1
+        assert out == '{"agree":false,"bfs_classes":10,"code_classes":10,"dim":4}\n'
+
+    def test_builds_no_forest_or_code_per_position(self, capsys, monkeypatch):
+        golden = GOLDEN["oracle"]["d5"]
+
+        def refuse(*args):
+            raise AssertionError("oracle built a forest or code per position")
+
+        monkeypatch.setattr(forest, "_forest_of", refuse)
+        monkeypatch.setattr(forest, "canonical_code", refuse)
+        code, out, err = run(capsys, *golden["argv"])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == golden["sha256"]
+
 
 class TestErrorPaths:
     def test_missing_file(self, capsys):

@@ -31,11 +31,14 @@ from fanobott import (
 from fanobott.forest import (
     LEAF_ATOM,
     _bottom_up,
+    _code_ids,
     _first_positions,
+    _forest_of,
     _kids_and_order,
+    _layers,
     _vertex_code,
 )
-from fanobott.matrix import _row_choices
+from fanobott.matrix import _matrices_at, _phi_sigmas, _row_choices
 
 FLIP = {"+": "-", "-": "+"}
 
@@ -471,6 +474,42 @@ class TestCanonicalCodes:
         other = flip_edges(t, vs)
         assert canonical_code(t, DIFFEO) == canonical_code(other, DIFFEO)
         assert leaves(t) == leaves(other)
+
+
+class TestCodeIds:
+    """The state engine's ids, against a forest and a code per position."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_ids_and_codes_partition_the_positions_alike(self, d, mode):
+        ids = _code_ids(d, mode)
+        codes = [canonical_code(_forest_of(ps), mode).code for ps in _phi_sigmas(d)]
+        assert len(ids) == len(codes)
+        # one code per id and one id per code
+        assert len(set(zip(ids, codes))) == len(set(ids)) == len(set(codes))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_ids_appear_in_stream_first_order(self, d, mode):
+        firsts = {}
+        for position, t in enumerate(_code_ids(d, mode)):
+            firsts.setdefault(t, position)
+        assert list(firsts) == list(range(len(firsts)))
+        assert list(firsts.values()) == sorted(_first_positions(d, mode).values())
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
+    def test_first_positions_increase_with_the_id(self, d, mode):
+        for _, states, first in _layers(d, mode):
+            assert len(first) == len(states)
+            assert all(a < b for a, b in zip(first, first[1:]))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
+    def test_code_at_each_first_position(self, d, mode):
+        first = _first_positions(d, mode)
+        for code, m in zip(first, _matrices_at(d, first.values())):
+            assert canonical_code(from_matrix(m), mode).code == code
 
 
 class TestDot:

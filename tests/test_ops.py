@@ -55,7 +55,7 @@ from fanobott import forest as forest_module
 from fanobott import matrix as matrix_module
 from fanobott import ops as ops_module
 from fanobott.forest import _match_forests, _phi_sigma_of
-from fanobott.matrix import _matrix_of, _phi_sigmas, _position, _row_weights
+from fanobott.matrix import _matrix_of, _phi_sigmas, _row_weights
 from fanobott.ops import neighbors
 from test_forest import (
     flip_children_at,
@@ -64,6 +64,7 @@ from test_forest import (
     labeled_forests,
     reference_vertex_code,
 )
+from test_matrix import stream_position
 
 FLIP = {"+": "-", "-": "+"}
 
@@ -745,11 +746,11 @@ def move_deltas(ps, use_root_edge_flips):
 def position_differences(ps, steps):
     """How far each step moves ps in the stream, for the steps _move accepts."""
     weights = _row_weights(ps.dim)
-    here = _position(ps, weights)
+    here = stream_position(ps, weights)
     moved = []
     for step in steps:
         try:
-            moved.append(_position(ops_module._move(ps, step), weights) - here)
+            moved.append(stream_position(ops_module._move(ps, step), weights) - here)
         except InvalidMatrixError:
             pass
     return moved
@@ -791,11 +792,11 @@ def reference_closure_roots(d, use_root_edge_flips=True):
 
     for i, ps in enumerate(_phi_sigmas(d)):
         for step in flip_steps(ps, use_root_edge_flips):
-            union(i, _position(ops_module._move(ps, step), weights))
+            union(i, stream_position(ops_module._move(ps, step), weights))
         if relabeled[i]:
             continue
         for perm in ops_module._admissible_perms(ps.phi):
-            j = _position(ops_module._move(ps, ConjugateStep(perm)), weights)
+            j = stream_position(ops_module._move(ps, ConjugateStep(perm)), weights)
             relabeled[j] = 1
             union(i, j)
     return [find(i) for i in range(len(parent))]
