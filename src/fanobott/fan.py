@@ -9,10 +9,11 @@ named by the leading entry of the row (or to zero at the roots).
 Two towers whose ray matrices agree row by row up to sign, with the
 antipodal pairing preserved, are diffeomorphic.  The certificate replays
 a witness on parent/sign data, applies its relabelings and column flips to
-the rays as unimodular column transformations (a column flip exchanges the
-two rays of its pair, so the pair's rows swap), then flips the subtrees
-hanging below the root edges whose signs still disagree via diagonal sign
-matrices, and finally checks the row-by-row sign match.
+the rays as unimodular column transformations (a column flip at k reads
+its row from ray d+k and swaps the rows of pair k), then flips, via
+diagonal sign matrices, the subtrees below the root edges whose signs
+still disagree (one pass over the parents finds them all), and finally
+checks the row-by-row sign match.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from operator import add
 
-from fanobott.matrix import FanoBottError, FanoBottMatrix, PhiSigma, Record, _matrix_of
+from fanobott.matrix import FanoBottError, FanoBottMatrix, Record, _matrix_of
 from fanobott.ops import (
     ColumnFlipStep,
     ConjugateStep,
@@ -147,37 +148,30 @@ class Certificate(Record):
         }
 
 
-def _move_rays(ray_rows: list[list[int]], ps: PhiSigma,
+def _move_rays(ray_rows: list[list[int]],
                step: ConjugateStep | ColumnFlipStep) -> list[list[int]]:
-    """Apply a relabeling or a column flip of the matrix of ps to its rays.
+    """Apply a relabeling or a column flip to the rays of the current matrix.
 
     Relabeling permutes the columns and, blockwise, the rows, through the
-    inverse index of :func:`~fanobott.ops.conjugate`.  A column
-    flip at k right-multiplies by the unimodular matrix with rows e_i off
-    row k and -e_k + (row k of the matrix) there.  Row k is read off the
-    parent chain: -1 at each parent reached through a "-" edge, then +1 at
-    the parent of the first "+" edge.  The product is a column update,
-    applied in place: a ray whose entry x in column k is nonzero has that
-    entry negated and gains x times entry (k, j) in each column j where
-    row k is nonzero, and every other ray stays.  One flip thus costs
-    O(d * nnz(row k)) rather than the O(d^3) of the dense product.  The
-    flip exchanges the two rays of pair k, so the rows k and d+k swap to
-    restore the pair order.
+    inverse index of :func:`~fanobott.ops.conjugate`.  A column flip at k
+    right-multiplies by the matrix G that is the identity off row k and
+    -e_k + (row k of the matrix) on it.  That row is ray d+k, so G is
+    unimodular (det -1) by construction.  The product is a column update,
+    applied in place once the support of ray d+k is read: a ray whose entry
+    x in column k is nonzero has that entry negated and gains x times entry
+    (k, j) in each other column j of the support, and every other ray
+    stays.  One flip thus costs O(d * nnz(row k)) rather than the O(d^3) of
+    the dense product.  The flip exchanges the two rays of pair k, so the
+    rows k and d+k swap to restore the pair order.
     """
-    d = ps.dim
+    d = len(ray_rows) // 2
     if isinstance(step, ConjugateStep):
         inverse = sorted(range(d), key=step.perm.__getitem__)
         return [list(map(ray_rows[i0].__getitem__, inverse))
                 for i0 in inverse + [d + i0 for i0 in inverse]]
-    phi, sigma = ps.phi, ps.sigma
-    support = []
-    v = step.k
-    while phi[v - 1] <= d:
-        v, sign = phi[v - 1], sigma[v - 1]
-        support.append((v - 1, 1 if sign == "+" else -1))
-        if sign == "+":
-            break
     k0 = step.k - 1
+    support = [(j0, entry) for j0, entry in enumerate(ray_rows[d + k0])
+               if entry and j0 != k0]
     for row in ray_rows:
         x = row[k0]
         if x:
@@ -196,10 +190,11 @@ def certify_diffeo(a: FanoBottMatrix, a2: FanoBottMatrix,
     Its relabelings and column flips alone give the prefix, also on
     parent/sign data, and are applied to the ray matrix of the source; the
     result is checked against the ray matrix of the prefix.  The remaining
-    disagreement with the target must sit on root-adjacent edges, and for
-    each such edge the diagonal sign matrix supported on the child's
-    subtree is applied.  The final matrices must agree row by row up to
-    sign.
+    disagreement with the target must sit on root-adjacent edges.  One
+    descending pass over the parents gives each vertex its top, the child
+    of a root above it (or itself), so a flipped child's subtree is the
+    vertices whose top it is, and the diagonal sign matrix supported there
+    is applied.  The final matrices must agree row by row up to sign.
 
     Raises:
         CertificateError: with the failing stage, and the step or the
@@ -216,9 +211,10 @@ def certify_diffeo(a: FanoBottMatrix, a2: FanoBottMatrix,
         raise CertificateError("witness does not reach the target matrix", stage="target")
     for step in witness.steps:
         if not isinstance(step, RootEdgeFlipStep):
-            ray_rows = _move_rays(ray_rows, prefix, step)
+            ray_rows = _move_rays(ray_rows, step)
             prefix = _move(prefix, step)
-    m_transformed = rays(target if prefix == reached else _matrix_of(prefix))
+    m_target = rays(a2)
+    m_transformed = m_target if prefix == reached else rays(_matrix_of(prefix))
     if tuple(map(tuple, ray_rows)) != m_transformed.rows:
         raise CertificateError("unimodular replay diverged from the ray matrix",
                                stage="unimodular")
@@ -228,33 +224,30 @@ def certify_diffeo(a: FanoBottMatrix, a2: FanoBottMatrix,
     if phi != reached.phi:
         raise CertificateError("forest shapes disagree after the prefix", stage="shape")
     d = a.dim
+    # top[v-1] is v at a root or a root's child, and its parent's top below
+    top = list(range(1, d + 1))
+    for v0 in range(d - 1, -1, -1):  # phi(v) > v, so each parent comes first
+        p = phi[v0]
+        if p <= d and phi[p - 1] <= d:
+            top[v0] = top[p - 1]
     flipped_children = []
-    for v, (p, s, s2) in enumerate(zip(phi, prefix.sigma, reached.sigma), 1):
+    for v, (s, s2) in enumerate(zip(prefix.sigma, reached.sigma), 1):
         if s != s2:
-            if phi[p - 1] <= d:
+            if top[v - 1] != v:
                 raise CertificateError(
                     f"sign of the non-root-adjacent edge at vertex {v} disagrees",
                     stage="non_root_edge",
                 )
             flipped_children.append(v)
 
-    kids: list[list[int]] = [[] for _ in range(d + 2)]
-    for v, p in enumerate(phi, 1):
-        kids[p].append(v)
-    diagonals = []
-    for child in flipped_children:
-        subtree = [child]
-        for v in subtree:  # the loop also visits the descendants appended here
-            subtree.extend(kids[v])
-        diag = [1] * d
-        for v in subtree:
-            diag[v - 1] = -1
-        diagonals.append(tuple(diag))
-        for row in ray_rows:
-            for v in subtree:
-                row[v - 1] = -row[v - 1]
+    diagonals = tuple(tuple(-1 if t == child else 1 for t in top)
+                      for child in flipped_children)
+    flipped = set(flipped_children)
+    negated = [j0 for j0, t in enumerate(top) if t in flipped]
+    for row in ray_rows:
+        for j0 in negated:
+            row[j0] = -row[j0]
 
-    m_target = rays(a2)
     report = rows_match_up_to_sign(ray_rows, m_target)
     if not report.matches:
         raise CertificateError("transformed rays do not match the target",
@@ -264,6 +257,6 @@ def certify_diffeo(a: FanoBottMatrix, a2: FanoBottMatrix,
         m_source=m_source,
         m_transformed=m_transformed,
         m_target=m_target,
-        flip_diagonals=tuple(diagonals),
+        flip_diagonals=diagonals,
         row_signs=report.signs,
     )

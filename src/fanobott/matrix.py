@@ -359,8 +359,8 @@ def _phi_sigmas(d: int) -> Iterator[PhiSigma]:
 def _row_weights(d: int) -> list[int]:
     """Stream weight of rows 1..d: the product of the choice counts before."""
     weights = [1]
-    for p in range(1, d):
-        weights.append(weights[-1] * (2 * (d - p) + 1))
+    for choices in _row_choices(d)[:-1]:
+        weights.append(weights[-1] * len(choices))
     return weights
 
 
@@ -379,11 +379,9 @@ def _matrices_at(d: int, positions: Iterable[int]) -> Iterator[FanoBottMatrix]:
 
 
 def count_matrices(d: int) -> int:
-    """(2d-1)!!, the size of the enumeration stream."""
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    total = 1
-    for p in range(1, d + 1):
-        total *= 2 * (d - p) + 1
-    return total
+    """(2d-1)!!, the size of the enumeration stream.
+
+    Row d offers one choice, so this is the stream weight of row d.
+    """
+    return _row_weights(d)[-1]
 

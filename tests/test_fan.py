@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 from collections import defaultdict
+from itertools import permutations
 from operator import mul
 
 import pytest
@@ -28,12 +31,16 @@ from fanobott import (
     certify_diffeo,
     conjugate,
     find_witness,
+    flip_column,
+    flip_root_edge,
     from_matrix,
     from_phi_sigma,
+    make_forest,
     phi_sigma,
     rays,
     replay,
     rows_match_up_to_sign,
+    to_matrix,
     to_phi_sigma,
     validate,
 )
@@ -499,6 +506,44 @@ class TestColumnUpdate:
         assert certificate.row_signs == report.signs
 
 
+class TestRaysAlone:
+    """_move_rays reads each move off the rays; no parent/sign data."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_column_flip_reads_ray_d_plus_k(self, d):
+        for a in fb(d):
+            for k in range(1, d + 1):
+                rows = fan._move_rays([list(r) for r in rays(a).rows],
+                                      ColumnFlipStep(k))
+                assert tuple(map(tuple, rows)) == rays(flip_column(a, k)).rows
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_every_admissible_relabeling(self, d):
+        for a in fb(d):
+            phi = to_phi_sigma(a).phi
+            for perm in permutations(range(1, d + 1)):
+                if any(p <= d and perm[v] > perm[p - 1]
+                       for v, p in enumerate(phi)):
+                    continue
+                rows = fan._move_rays([list(r) for r in rays(a).rows],
+                                      ConjugateStep(perm))
+                expected = rays(validate(conjugate(a, perm))).rows
+                assert tuple(map(tuple, rows)) == expected
+
+    def test_deep_path_flips_the_subtree_below_the_root_edge(self):
+        n = 1100
+        a = to_matrix(make_forest(list(range(2, n + 1)) + [0],
+                                  ["+"] * (n - 1) + [""]))
+        b = flip_root_edge(flip_column(flip_column(a, 10), 700), n - 1, n)
+        certificate = certify_diffeo(a, b, find_witness(a, b))
+        # the edge n-1 -> root n carries the whole path below the root
+        assert certificate.flip_diagonals == ((-1,) * (n - 1) + (1,),)
+        payload = json.dumps(certificate.to_json(), sort_keys=True,
+                             separators=(",", ":")).encode()
+        assert hashlib.sha256(payload).hexdigest() == (
+            "504210500bd5a64de8e893d3ca248ebd68d4925f00810bca6e95eeb413b9fd31")
+
+
 class TestSinglePass:
     """certify_diffeo walks the witness once; the three-pass path is the oracle."""
 
@@ -615,7 +660,7 @@ class TestFailureStages:
 
     def test_unimodular(self, monkeypatch):
         a, b = seven_vertex_pair()
-        monkeypatch.setattr(fan, "_move_rays", lambda ray_rows, ps, step: ray_rows)
+        monkeypatch.setattr(fan, "_move_rays", lambda ray_rows, step: ray_rows)
         err = self.failure(a, b, find_witness(a, b))
         assert (err.stage, err.step, err.row) == ("unimodular", None, None)
 

@@ -514,6 +514,19 @@ class TestStreamPositions:
         with pytest.raises(ValueError):
             list(_phi_sigmas(0))
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_count_is_the_weight_of_the_last_row(self, d):
+        # row d offers one choice, so its weight is the stream length
+        assert count_matrices(d) == _row_weights(d)[-1] \
+            == sum(1 for _ in enumerate_matrices(d))
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_count_and_weights_reject_nonpositive_dimension(self, d):
+        with pytest.raises(ValueError, match="d must be at least 1"):
+            count_matrices(d)
+        with pytest.raises(ValueError, match="d must be at least 1"):
+            _row_weights(d)
+
     @settings(max_examples=200, deadline=None)
     @given(admissible_matrices(max_dim=12))
     def test_position_decodes_to_the_matrix(self, m):
