@@ -139,7 +139,7 @@ def quotient_by_leaf(a: FanoBottMatrix, alpha: int) -> FanoBottMatrix:
     Raises:
         NotALeafColumnError: if column alpha is nonzero.
     """
-    if not 1 <= alpha <= a.dim or any(row[alpha - 1] for row in a.rows):
+    if not 1 <= _require_int("alpha", alpha) <= a.dim or any(row[alpha - 1] for row in a.rows):
         raise NotALeafColumnError(alpha)
     rows = [
         tuple(v for j0, v in enumerate(row) if j0 != alpha - 1)

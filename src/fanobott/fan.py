@@ -8,12 +8,13 @@ named by the leading entry of the row (or to zero at the roots).
 
 Two towers whose ray matrices agree row by row up to sign, with the
 antipodal pairing preserved, are diffeomorphic.  The certificate replays
-a witness on parent/sign data, applies its relabelings and column flips to
-the rays as unimodular column transformations (a column flip at k reads
-its row from ray d+k and swaps the rows of pair k), then flips, via
-diagonal sign matrices, the subtrees below the root edges whose signs
-still disagree (one pass over the parents finds them all), and finally
-checks the row-by-row sign match.
+a witness on parent/sign data once, applies its relabelings and column
+flips to the rays as unimodular column transformations (a column flip at
+k reads its row from ray d+k and swaps the rows of pair k) while carrying
+its root-edge flips along as a set of relabeled root children, then
+flips, via diagonal sign matrices, the subtrees below those root edges
+(one pass over the parents finds them all), and finally checks the
+row-by-row sign match.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 from operator import add
 
-from fanobott.matrix import FanoBottError, FanoBottMatrix, Record, _matrix_of
+from fanobott.forest import _FLIP
+from fanobott.matrix import FanoBottError, FanoBottMatrix, PhiSigma, Record, _matrix_of
 from fanobott.ops import (
     ColumnFlipStep,
     ConjugateStep,
     OpSequence,
     RootEdgeFlipStep,
     StepFailedError,
-    _move,
     _replay_steps,
 )
 
@@ -41,9 +42,9 @@ class CertificateError(FanoBottError):
     """The diffeomorphism certificate could not be completed.
 
     stage names the failed check of :func:`certify_diffeo`: "replay",
-    "target", "unimodular", "shape", "non_root_edge" or "row_match".  step
-    is the failing step's index when the replay failed (-1 and len(steps)
-    for the source and target digests), and row the first mismatched ray.
+    "target", "unimodular" or "row_match".  step is the failing step's
+    index when the replay failed (-1 and len(steps) for the source and
+    target digests), and row the first mismatched ray.
     """
 
     def __init__(self, reason: str, row: int | None = None, *,
@@ -186,15 +187,16 @@ def certify_diffeo(a: FanoBottMatrix, a2: FanoBottMatrix,
                    witness: OpSequence) -> Certificate:
     """Verify a witness end to end and return the transcript.
 
-    The witness is replayed on parent/sign data and must reach the target.
-    Its relabelings and column flips alone give the prefix, also on
-    parent/sign data, and are applied to the ray matrix of the source; the
-    result is checked against the ray matrix of the prefix.  The remaining
-    disagreement with the target must sit on root-adjacent edges.  One
-    descending pass over the parents gives each vertex its top, the child
-    of a root above it (or itself), so a flipped child's subtree is the
-    vertices whose top it is, and the diagonal sign matrix supported there
-    is applied.  The final matrices must agree row by row up to sign.
+    The witness is replayed once on parent/sign data and must reach the
+    target.  Its relabelings and column flips are applied to the ray
+    matrix of the source; its root-edge flips are carried, relabeled, as
+    the root children whose edge was flipped an odd number of times.  The
+    reached data with those signs turned back is the prefix, whose ray
+    matrix the transformed rays must equal.  One descending pass over the
+    parents gives each vertex its top, the child of a root above it (or
+    itself), so a flipped child's subtree is the vertices whose top it is,
+    and the diagonal sign matrix supported there is applied.  The final
+    matrices must agree row by row up to sign.
 
     Raises:
         CertificateError: with the failing stage, and the step or the
@@ -203,26 +205,30 @@ def certify_diffeo(a: FanoBottMatrix, a2: FanoBottMatrix,
     m_source = rays(a)
     ray_rows = [list(r) for r in m_source.rows]
     try:
-        prefix, reached, target = _replay_steps(a, witness)
+        reached, target = _replay_steps(a, witness)
     except StepFailedError as exc:
         raise CertificateError(f"witness replay failed: {exc}",
                                stage="replay", step=exc.index) from exc
     if target != a2:
         raise CertificateError("witness does not reach the target matrix", stage="target")
+    flipped: set[int] = set()
     for step in witness.steps:
-        if not isinstance(step, RootEdgeFlipStep):
-            ray_rows = _move_rays(ray_rows, step)
-            prefix = _move(prefix, step)
+        if isinstance(step, RootEdgeFlipStep):
+            flipped ^= {step.k}
+            continue
+        if isinstance(step, ConjugateStep):
+            flipped = {step.perm[v - 1] for v in flipped}
+        ray_rows = _move_rays(ray_rows, step)
     m_target = rays(a2)
-    m_transformed = m_target if prefix == reached else rays(_matrix_of(prefix))
+    # the signs at flipped turned back (a root in tampered data keeps None)
+    prefix = PhiSigma(reached.phi, tuple([_FLIP.get(s) if v in flipped else s
+                                          for v, s in enumerate(reached.sigma, 1)]))
+    m_transformed = rays(_matrix_of(prefix)) if flipped else m_target
     if tuple(map(tuple, ray_rows)) != m_transformed.rows:
         raise CertificateError("unimodular replay diverged from the ray matrix",
                                stage="unimodular")
 
-    # reached is the target's parent/sign data, since the matrices agree
-    phi = prefix.phi
-    if phi != reached.phi:
-        raise CertificateError("forest shapes disagree after the prefix", stage="shape")
+    phi = reached.phi
     d = a.dim
     # top[v-1] is v at a root or a root's child, and its parent's top below
     top = list(range(1, d + 1))
@@ -230,19 +236,8 @@ def certify_diffeo(a: FanoBottMatrix, a2: FanoBottMatrix,
         p = phi[v0]
         if p <= d and phi[p - 1] <= d:
             top[v0] = top[p - 1]
-    flipped_children = []
-    for v, (s, s2) in enumerate(zip(prefix.sigma, reached.sigma), 1):
-        if s != s2:
-            if top[v - 1] != v:
-                raise CertificateError(
-                    f"sign of the non-root-adjacent edge at vertex {v} disagrees",
-                    stage="non_root_edge",
-                )
-            flipped_children.append(v)
-
     diagonals = tuple(tuple(-1 if t == child else 1 for t in top)
-                      for child in flipped_children)
-    flipped = set(flipped_children)
+                      for child in sorted(flipped))
     negated = [j0 for j0, t in enumerate(top) if t in flipped]
     for row in ray_rows:
         for j0 in negated:

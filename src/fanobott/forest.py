@@ -224,7 +224,7 @@ def leaf_cut(t: SignedRootedForest, v: int) -> SignedRootedForest:
     Raises:
         NotALeafError: if v has children.
     """
-    if not 1 <= v <= t.size or v in t.parents:
+    if not 1 <= _require_int("v", v) <= t.size or v in t.parents:
         raise NotALeafError(v)
     parents = []
     signs = []

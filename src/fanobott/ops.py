@@ -184,13 +184,13 @@ def _move(ps: PhiSigma, step: OpStep) -> PhiSigma:
         return PhiSigma(tuple([labels[phi[v0] - 1] for v0 in inverse]),
                         tuple(map(sigma.__getitem__, inverse)))
     if isinstance(step, ColumnFlipStep):
-        k = step.k
+        k = _require_int("k", step.k)
         if not 1 <= k <= d:
             raise ValueError(f"column {k} out of range 1..{d}")
         return PhiSigma(phi, tuple([_FLIP[s] if p == k else s
                                     for p, s in zip(phi, sigma)]))
     if isinstance(step, RootEdgeFlipStep):
-        k, l = step.k, step.l
+        k, l = _require_int("k", step.k), _require_int("l", step.l)
         if not (1 <= k <= d and 1 <= l <= d):
             raise OpPreconditionError(k, l, "indices out of range")
         if phi[l - 1] <= d:
@@ -228,18 +228,19 @@ def flip_root_edge(a: FanoBottMatrix, k: int, l: int) -> FanoBottMatrix:
 
 
 def _replay_steps(a: FanoBottMatrix, steps: OpSequence | Iterable[OpStep]
-                  ) -> tuple[PhiSigma, PhiSigma, FanoBottMatrix]:
-    """The source's and the reached parent/sign data, and the reached matrix.
+                  ) -> tuple[PhiSigma, FanoBottMatrix]:
+    """The reached parent/sign data and the reached matrix.
 
     These are the checks of :func:`replay`: the source digest before the
     first step and the target digest, of the one matrix built, after the
-    last.
+    last.  Each step is applied once; the certificate reads its prefix off
+    the reached data rather than replaying the steps again.
     """
     sequence = steps if isinstance(steps, OpSequence) else None
     step_list = list(sequence.steps if sequence else steps)
     if sequence and sequence.source_sha and sequence.source_sha != a.digest():
         raise StepFailedError(-1, "source digest does not match the matrix")
-    source = reached = to_phi_sigma(a)
+    reached = to_phi_sigma(a)
     for index, step in enumerate(step_list):
         try:
             reached = _move(reached, step)
@@ -248,7 +249,7 @@ def _replay_steps(a: FanoBottMatrix, steps: OpSequence | Iterable[OpStep]
     result = _matrix_of(reached)
     if sequence and sequence.target_sha and sequence.target_sha != result.digest():
         raise StepFailedError(len(step_list), "target digest does not match the result")
-    return source, reached, result
+    return reached, result
 
 
 def replay(a: FanoBottMatrix,
@@ -260,7 +261,7 @@ def replay(a: FanoBottMatrix,
     Raises:
         StepFailedError: with the failing step index and the reason.
     """
-    return _replay_steps(a, steps)[2]
+    return _replay_steps(a, steps)[1]
 
 
 def _valid_root_edge_pairs(ps: PhiSigma) -> list[tuple[int, int]]:

@@ -174,6 +174,12 @@ class TestQuotient:
         with pytest.raises(NotALeafColumnError):
             quotient_by_leaf(tree5, 4)
 
+    @pytest.mark.parametrize("bad", [1.0, True, "2", None])
+    def test_rejects_non_integer_column(self, tree5, bad):
+        with pytest.raises(ValueError) as err:
+            quotient_by_leaf(tree5, bad)
+        assert str(err.value) == f"alpha = {bad!r} is not an integer"
+
     def test_matches_leaf_cut(self, tree5):
         cut = to_matrix(leaf_cut(from_matrix(tree5), 1))
         assert quotient_by_leaf(tree5, 1) == cut

@@ -596,6 +596,16 @@ class TestSinglePass:
         certificate = certify_diffeo(a, b, witness)
         assert certificate.to_json() == reference_certify(a, b, witness).to_json()
         assert certificate.flip_diagonals == ((1, 1, 1, -1, -1, -1, 1),)
+        # the edge 6 -> 7 flipped again, as itself or relabeled as 3 -> 7
+        swap = ConjugateStep((4, 5, 6, 1, 2, 3, 7))
+        for steps in [(RootEdgeFlipStep(6, 7), RootEdgeFlipStep(6, 7)),
+                      (RootEdgeFlipStep(6, 7), swap, RootEdgeFlipStep(3, 7))]:
+            b2 = replay(a, steps)
+            witness = OpSequence(steps, a.digest(), b2.digest())
+            certificate = certify_diffeo(a, b2, witness)
+            assert certificate.to_json() == reference_certify(a, b2, witness).to_json()
+            assert certificate.flip_diagonals == ()
+            assert certificate.m_transformed == certificate.m_target
 
     def test_reads_the_source_once_and_validates_no_step(self, monkeypatch):
         a, b = seven_vertex_pair()
@@ -629,10 +639,10 @@ class TestFailureStages:
         original = fan._replay_steps
 
         def tampered(a, steps):
-            source, reached, target = original(a, steps)
+            reached, target = original(a, steps)
             phi, sigma = list(reached.phi), list(reached.sigma)
             change(phi, sigma)
-            return source, PhiSigma(tuple(phi), tuple(sigma)), target
+            return PhiSigma(tuple(phi), tuple(sigma)), target
 
         monkeypatch.setattr(fan, "_replay_steps", tampered)
         return a, b, find_witness(a, b)
@@ -669,21 +679,46 @@ class TestFailureStages:
             phi[0], sigma[0] = 8, None
 
         err = self.failure(*self.witness_reaching(monkeypatch, make_root))
-        assert (err.stage, err.step, err.row) == ("shape", None, None)
+        assert (err.stage, err.step, err.row) == ("unimodular", None, None)
 
     def test_non_root_edge(self, monkeypatch):
         def flip_below_vertex_3(phi, sigma):  # 1 -> 3 -> root 7
             sigma[0] = {"+": "-", "-": "+"}[sigma[0]]
 
         err = self.failure(*self.witness_reaching(monkeypatch, flip_below_vertex_3))
-        assert (err.stage, err.step, err.row) == ("non_root_edge", None, None)
-        assert str(err) == "sign of the non-root-adjacent edge at vertex 1 disagrees"
+        assert (err.stage, err.step, err.row) == ("unimodular", None, None)
+        assert str(err) == "unimodular replay diverged from the ray matrix"
+
+    def test_tampered_root_at_the_flipped_edge(self, monkeypatch):
+        def make_root_6(phi, sigma):  # the witness flips the edge 6 -> root 7
+            phi[5], sigma[5] = 8, None
+
+        err = self.failure(*self.witness_reaching(monkeypatch, make_root_6))
+        assert (err.stage, err.step, err.row) == ("unimodular", None, None)
+
+    @pytest.mark.parametrize("bad", [3.0, True, "3", None])
+    def test_non_integer_column(self, bad):
+        a, b = seven_vertex_pair()
+        steps = find_witness(a, b).steps
+        witness = OpSequence((*steps, ColumnFlipStep(bad)), "", "")
+        err = self.failure(a, b, witness)
+        assert (err.stage, err.step, err.row) == ("replay", 3, None)
+        assert str(err) == (f"witness replay failed: step 3: "
+                            f"k = {bad!r} is not an integer")
 
     def test_row_match(self, monkeypatch):
-        def flip_root_edge_3(phi, sigma):  # 3 -> root 7
-            sigma[2] = {"+": "-", "-": "+"}[sigma[2]]
+        a, b = seven_vertex_pair()
+        witness = find_witness(a, b)
+        assert RootEdgeFlipStep(6, 7) in witness.steps
+        original = fan.rays
 
-        err = self.failure(*self.witness_reaching(monkeypatch, flip_root_edge_3))
-        assert (err.stage, err.step) == ("row_match", None)
-        assert err.row is not None
-        assert str(err) == f"transformed rays do not match the target (row {err.row})"
+        def bent(m):  # only the target's ray 10 changes
+            rows = [list(r) for r in original(m).rows]
+            if m == b:
+                rows[9][0] += 5
+            return RayMatrix(tuple(map(tuple, rows)))
+
+        monkeypatch.setattr(fan, "rays", bent)
+        err = self.failure(a, b, witness)
+        assert (err.stage, err.step, err.row) == ("row_match", None, 10)
+        assert str(err) == "transformed rays do not match the target (row 10)"

@@ -334,6 +334,12 @@ class TestLeafSurgery:
         with pytest.raises(NotALeafError):
             leaf_cut(from_matrix(tree5), 4)
 
+    @pytest.mark.parametrize("bad", [1.0, True, "2", None])
+    def test_cut_rejects_non_integer_vertex(self, tree5, bad):
+        with pytest.raises(ValueError) as err:
+            leaf_cut(from_matrix(tree5), bad)
+        assert str(err.value) == f"v = {bad!r} is not an integer"
+
     def test_cut_shifts_labels(self, tree5):
         t = leaf_cut(from_matrix(tree5), 1)
         # remaining vertices 2,3,4,5 renamed 1..4

@@ -653,6 +653,35 @@ class TestReplay:
         assert str(err.value) == f"{field} = {bad!r} is not an integer"
 
 
+NON_INTEGERS = [2.0, True, "2", None]
+
+
+class TestNonIntegerLabels:
+    """A move's k and l must be ints: neither a float nor a bool names a column."""
+
+    @pytest.mark.parametrize("bad", NON_INTEGERS)
+    def test_flip_column(self, a6, bad):
+        with pytest.raises(ValueError) as err:
+            flip_column(a6, bad)
+        assert str(err.value) == f"k = {bad!r} is not an integer"
+
+    @pytest.mark.parametrize("bad", NON_INTEGERS)
+    def test_flip_root_edge(self, a6, bad):
+        for args, field in [((bad, 3), "k"), ((2, bad), "l")]:
+            with pytest.raises(ValueError) as err:
+                flip_root_edge(a6, *args)
+            assert str(err.value) == f"{field} = {bad!r} is not an integer"
+
+    @pytest.mark.parametrize("bad", NON_INTEGERS)
+    def test_replay(self, a6, bad):
+        for steps in ([ColumnFlipStep(bad)],
+                      [ColumnFlipStep(3), RootEdgeFlipStep(bad, 3)]):
+            with pytest.raises(StepFailedError) as err:
+                replay(a6, steps)
+            assert err.value.index == len(steps) - 1
+            assert str(err.value).endswith(f"k = {bad!r} is not an integer")
+
+
 class TestBfsClosure:
     def test_single_point(self):
         assert len(bfs_closure_classes(1)) == 1
