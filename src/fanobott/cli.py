@@ -9,20 +9,21 @@ arguments accept a file path or inline JSON (anything starting with "["
 or "{").
 
 `classify` builds no matrix or forest per labelled matrix: one forward
-pass over the row choices, a layer per vertex, keeps each state of root
-codes and pending child tokens once, with the smallest position in the
-enumeration stream that reaches it, and ends with the smallest position
-of each forest code.  The representatives are the matrices at those
-positions, decoded with one choice table and printed in stream order,
-which is the first member of each class in the stream.  `oracle` runs
-the move-graph search on stream positions, reads the diffeo code id of
-every position from the same layered pass, and checks that code and
-search class determine each other: there must be as many (class, code)
-pairs as classes and as codes.  It builds no matrix, forest or code per
-position.  Memory follows the states of the layers and the classes for
-`classify`, and one union-find entry and one code id per position for
-`oracle`; nothing is printed before the work ends, so an error leaves
-stdout empty.
+pass over the row choices, a layer per vertex, keeps each state once,
+with the smallest position in the enumeration stream that reaches it,
+and ends with the smallest position of each forest code.  A state is a
+flat tuple of small ints: the interned multisets of pending child tokens
+and of root codes.  The representatives are the matrices at those
+positions, decoded with one choice table and printed as compact JSON in
+stream order, which is the first member of each class in the stream.
+`oracle` runs the move-graph search on stream positions, reads the
+diffeo code id of every position from the same layered pass, and checks
+that code and search class determine each other: there must be as many
+(class, code) pairs as classes and as codes.  It builds no matrix, forest
+or code per position.  Memory follows the states of the layers, the
+interned multisets and the classes for `classify`, and one union-find
+entry and one code id per position for `oracle`; nothing is printed
+before the work ends, so an error leaves stdout empty.
 
 A process loads only the modules its command runs: `matrix` and `forest`
 at import (the `--mode` choices come from `forest.MODES`), `ops` inside
@@ -100,7 +101,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         print(count_matrices(args.dim))
         return 0
     for m in enumerate_matrices(args.dim):
-        print(_compact(m.to_json()))
+        print(m._compact_json())
     return 0
 
 
@@ -108,7 +109,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     first = forest._first_positions(args.dim, args.mode)
     print(_compact({"classes": len(first), "dim": args.dim, "mode": args.mode}))
     for m in _matrices_at(args.dim, sorted(first.values())):
-        print(_compact(m.to_json()))
+        print(m._compact_json())
     return 0
 
 

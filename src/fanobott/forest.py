@@ -304,65 +304,82 @@ def _bottom_up(t: SignedRootedForest, mode: str
     return kids, codes, flipped
 
 
-def _layers(d: int, mode: str) -> Iterator[tuple[list[list[int]], dict[tuple, int], list[int]]]:
+def _layers(d: int, mode: str, multisets: list[tuple[tuple[str, str], ...]] | None = None
+            ) -> Iterator[tuple[list[list[int]], dict[tuple[int, ...], int], list[int]]]:
     """The state engine behind :func:`_first_positions` and :func:`_code_ids`.
 
     A forward pass over layers replaces building a forest per matrix:
     vertex k chooses at layer k.  Children carry smaller labels than their
     parents, so once vertices 1..k-1 have chosen, the subtree at k is
     complete, and what the rest of the pass can see is the state: the
-    sorted root codes so far and the sorted (code, sign) tokens of each
-    pending vertex k..d.  Layer k builds vertex k's code once per state
-    and files it, for each choice of row k, as a root or as a token of the
-    chosen parent.  After layer d every vertex is filed, and distinct root
-    tuples join to distinct forest codes.
+    sorted (code, sign) tokens of each pending vertex k..d and the sorted
+    root codes so far, a root code r being the token (r, "").  Each sorted
+    token multiset is interned, injectively, as a small int, so a state is
+    the flat tuple (pending_k, ..., pending_d, roots) of multiset ids.
+    Vertex k's codes as a non-root and as a root are built once per
+    multiset, and filing one for a choice of row k, as a root or as a
+    token of the chosen parent, is one lookup in the layer's (multiset,
+    code, sign) -> multiset memo and one slice of the state.  After layer
+    d every vertex is filed, and distinct roots multisets join to distinct
+    forest codes.
 
     A matrix's stream position is the sum over its rows of choice index
     times row weight, with row 1 fastest as in
     :func:`~fanobott.matrix.enumerate_matrices`, so a prefix of rows 1..k
     sits at base + j * W, with base < W its prefix of rows 1..k-1 and W
-    their choice count product.  Each layer's states are interned as
-    integers, visiting choices on the outside and the states in id order
-    on the inside: the visits then come in increasing order of their
-    smallest positions, so by induction the first visit to a state is its
-    smallest position, and ids follow stream-first order.
+    their choice count product.  Each layer's states are numbered,
+    visiting choices on the outside and the states in id order on the
+    inside: the visits then come in increasing order of their smallest
+    positions, so by induction the first visit to a state is its smallest
+    position, and ids follow stream-first order.
 
     Yields (cols, states, first) for layers k = 1..d: cols[j][s] is the id
     that state s of the layer before reaches when row k takes choice j;
-    states maps each (roots, pending) state to its id, in id order, and
-    first[t] is the smallest position of state t, increasing in t.
+    states maps each state to its id, in id order, and first[t] is the
+    smallest position of state t, increasing in t.  multisets, if given,
+    is an empty list that grows into the intern table: multisets[m] is
+    the sorted token tuple of id m.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    states: dict[tuple, int] = {((), ((),) * d): 0}
+    if multisets is None:
+        multisets = []
+    multisets.append(())
+    interned = {(): 0}
+    vertex_codes: dict[int, tuple[str, str]] = {}  # m -> (code, root code) of a vertex
+    states: dict[tuple[int, ...], int] = {(0,) * (d + 1): 0}
     first = [0]
     weight = 1
-    seen: dict[tuple[str, str], tuple[str, str]] = {}
     for k, choices in enumerate(_row_choices(d), 1):
         if mode == ROOTED:  # rooted codes ignore the signs, so the states drop them
             choices = [(q, "") for q, _ in choices]
-        codes = []
-        for _, pending in states:
-            tokens = pending[0]
-            code = _vertex_code(tokens, mode, False)[0]
-            # the state's tokens are sorted, so their codes already come in
-            # the order that _vertex_code sorts a diffeo root's codes into
-            root_code = "[" + ",".join([c for c, _ in tokens]) + "]" if mode == DIFFEO else code
-            # many states share their codes, so one tuple serves each pair
-            codes.append(seen.setdefault((code, root_code), (code, root_code)))
-        layer: dict[tuple, int] = {}
+        for state in states:
+            if state[0] not in vertex_codes:
+                tokens = multisets[state[0]]
+                vertex_codes[state[0]] = (_vertex_code(tokens, mode, False)[0],
+                                          _vertex_code(tokens, mode, True)[0])
+        codes, root_codes = zip(*[vertex_codes[state[0]] for state in states])
+        # (m, code, sign) -> m plus that token; a layer files vertex k's codes only
+        filed: dict[tuple[int, str, str], int] = {}
+        layer: dict[tuple[int, ...], int] = {}
         reached: list[int] = []
         cols = []
         for j, (q, s) in enumerate(choices):
             offset = j * weight
+            if q > d:  # the roots multiset is the state's last entry
+                i, s, filed_codes = d - k + 1, "", root_codes
+            else:
+                i, filed_codes = q - k, codes
             col = []
-            for (roots, pending), (code, root_code), base in zip(states, codes, first):
-                if q > d:
-                    state = (tuple(sorted((*roots, root_code))), pending[1:])
-                else:
-                    _, *filed = pending
-                    filed[q - k - 1] = tuple(sorted((*filed[q - k - 1], (code, s))))
-                    state = (roots, tuple(filed))
+            for state, code, base in zip(states, filed_codes, first):
+                key = (state[i], code, s)
+                m = filed.get(key)
+                if m is None:
+                    tokens = tuple(sorted((*multisets[state[i]], (code, s))))
+                    m = filed[key] = interned.setdefault(tokens, len(multisets))
+                    if m == len(multisets):
+                        multisets.append(tokens)
+                state = state[1:i] + (m,) + state[i + 1:]
                 t = layer.get(state)
                 if t is None:
                     t = layer[state] = len(reached)
@@ -378,12 +395,14 @@ def _layers(d: int, mode: str) -> Iterator[tuple[list[list[int]], dict[tuple, in
 def _first_positions(d: int, mode: str) -> dict[str, int]:
     """Each forest code of the d x d matrices with its smallest stream position.
 
-    The final states of :func:`_layers` are the forest codes, and the pass
-    gives each its smallest position.
+    Each final state of :func:`_layers` is one roots multiset, and so one
+    forest code, and the pass gives each its smallest position.
     """
-    for _, states, first in _layers(d, mode):
+    multisets: list[tuple[tuple[str, str], ...]] = []
+    for _, states, first in _layers(d, mode, multisets):
         pass  # only the final layer is read
-    return {"|".join(roots): position for (roots, _), position in zip(states, first)}
+    return {"|".join([r for r, _ in multisets[roots]]): position
+            for (roots,), position in zip(states, first)}
 
 
 def _code_ids(d: int, mode: str) -> list[int]:

@@ -110,16 +110,19 @@ class FanoBottMatrix(Record):
     def to_json(self) -> dict:
         return {"dim": self.dim, "entries": [list(row) for row in self.rows]}
 
-    def digest(self) -> str:
-        """Hex sha256 of the compact JSON form with sorted keys.
+    def _compact_json(self) -> str:
+        """:meth:`to_json` as compact JSON text with sorted keys.
 
-        The rows' repr, in brackets and without spaces, is that JSON
-        (a 1-tuple row "(0,)" becomes "[0]")."""
+        The rows' repr, in brackets and without spaces, is the entries'
+        JSON (a 1-tuple row "(0,)" becomes "[0]")."""
+        entries = str(self.rows).translate(_JSON_LISTS).replace(",]", "]")
+        return f'{{"dim":{len(self.rows)},"entries":{entries}}}'
+
+    def digest(self) -> str:
+        """Hex sha256 of the compact JSON form with sorted keys."""
         import hashlib
 
-        entries = str(self.rows).translate(_JSON_LISTS).replace(",]", "]")
-        payload = f'{{"dim":{len(self.rows)},"entries":{entries}}}'
-        return hashlib.sha256(payload.encode("ascii")).hexdigest()
+        return hashlib.sha256(self._compact_json().encode("ascii")).hexdigest()
 
 
 def _violation(rows: tuple[tuple[int, ...], ...], p0: int) -> str | None:

@@ -181,6 +181,49 @@ def sve_brute_force(a, bound: int = 2) -> frozenset[tuple[int, ...]]:
     return frozenset(kept)
 
 
+def fano_violation(rows) -> tuple[tuple[int, ...], int] | None:
+    """The first maximal cone of the Bott fan that breaks the Fano condition.
+
+    rows is a strictly upper triangular integer grid A.  Its Bott fan has
+    the rays e_i (ray i) and -e_i + row i of A (ray d+i), 0-based, and one
+    maximal cone per choice of one ray from each pair.  The tower is Fano
+    exactly when the anticanonical support function is strictly convex:
+    the u_sigma with <u_sigma, v> = 1 on the rays of each cone sigma has
+    <u_sigma, w> < 1 on every other ray w.  Ray i and ray d+i are zero
+    below coordinate i and +-1 at it, so back substitution from stage d-1
+    down gives u_sigma coordinate by coordinate, and once stage i is
+    chosen the other ray of pair i can be tested; any cone through a
+    failing choice fails.  Returns (cone, ray): the sorted ray indices of
+    the first failing cone, its lower stages taking ray i, and the other
+    ray that fails, in the order of a search that tries ray i before ray
+    d+i at each stage from d-1 down; None if no cone fails.  Integers
+    only: no fan, polytope or rational arithmetic from the package.
+    """
+    d = len(rows)
+    rays = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    rays += [tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(rows)]
+    u = [0] * d
+
+    def pair(x, y):
+        return sum(a * b for a, b in zip(x, y))
+
+    def search(i, chosen):
+        if i < 0:
+            return None
+        for ray, other in ((i, d + i), (d + i, i)):
+            u[i] = 0
+            # <u, ray> = 1 with ray's coordinate i equal to +-1
+            u[i] = (1 - pair(rays[ray], u)) * rays[ray][i]
+            if pair(rays[other], u) >= 1:
+                return tuple(sorted((*chosen, ray, *range(i)))), other
+            found = search(i - 1, (*chosen, ray))
+            if found:
+                return found
+        return None
+
+    return search(d - 1, ())
+
+
 def subtree_vertices(t, v: int) -> frozenset[int]:
     """v together with all of its descendants."""
     kids = children_map(t)

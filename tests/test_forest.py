@@ -510,6 +510,14 @@ class TestCodeIds:
             assert len(first) == len(states)
             assert all(a < b for a, b in zip(first, first[1:]))
 
+    # The class counts at d = 8 and 9 in rooted, variety and diffeo mode:
+    # d = 8 from enumerate-then-deduplicate, and the rooted counts are
+    # the rooted-tree numbers (OEIS A000081).
+    @pytest.mark.parametrize(("d", "counts"), [(8, (286, 1105, 639)),
+                                               (9, (719, 3624, 2023))])
+    def test_class_counts(self, d, counts):
+        assert tuple(len(_first_positions(d, mode)) for mode in MODES) == counts
+
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
     def test_code_at_each_first_position(self, d, mode):

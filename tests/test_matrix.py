@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FOREST_5, REFERENCE_6, TREE_5, fb
+from conftest import FOREST_5, REFERENCE_6, TREE_5, fano_violation, fb
 from fanobott import (
     FanoBottMatrix,
     InvalidMatrixError,
@@ -35,10 +35,10 @@ from fanobott.matrix import (
 )
 
 
-def all_upper_triangular_grids(d):
-    """Every strictly upper triangular {0,+-1} grid, admissible or not."""
+def all_upper_triangular_grids(d, bound=1):
+    """Every strictly upper triangular grid with entries in [-bound, bound]."""
     slots = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    for values in product((-1, 0, 1), repeat=len(slots)):
+    for values in product(range(-bound, bound + 1), repeat=len(slots)):
         grid = [[0] * d for _ in range(d)]
         for (i, j), v in zip(slots, values):
             grid[i][j] = v
@@ -181,6 +181,18 @@ def corrupted_grids(draw, max_dim=9):
 
 
 @st.composite
+def perturbed_upper_triangular_grids(draw, max_dim=12):
+    """An admissible matrix with one or two entries above the diagonal set to -2..2."""
+    grid = [list(row) for row in draw(admissible_matrices(max_dim=max_dim)).rows]
+    d = len(grid)
+    for _ in range(draw(st.integers(min_value=1, max_value=2)) if d > 1 else 0):
+        i = draw(st.integers(min_value=0, max_value=d - 2))
+        j = draw(st.integers(min_value=i + 1, max_value=d - 1))
+        grid[i][j] = draw(st.integers(min_value=-2, max_value=2))
+    return grid
+
+
+@st.composite
 def malformed_grids(draw, max_dim=9):
     """A corrupted grid with a non-integer entry or a shortened row."""
     grid = draw(corrupted_grids(max_dim=max_dim))
@@ -194,10 +206,14 @@ def malformed_grids(draw, max_dim=9):
     return grid
 
 
+def reference_compact_json(m):
+    """The matrix JSON as json.dumps writes it, compact with sorted keys."""
+    return json.dumps(m.to_json(), sort_keys=True, separators=(",", ":"))
+
+
 def reference_digest(m):
     """sha256 of the matrix JSON as json.dumps writes it, keys sorted."""
-    payload = json.dumps(m.to_json(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+    return hashlib.sha256(reference_compact_json(m).encode("ascii")).hexdigest()
 
 
 def random_admissible(rng, d):
@@ -306,6 +322,31 @@ class TestValidate:
             except InvalidMatrixError:
                 accepted = False
             assert accepted == expected, grid
+
+
+class TestFanoOracle:
+    """validate against the strict convexity of the anticanonical support
+    function on the Bott fan, which decides the Fano condition."""
+
+    @pytest.mark.parametrize(("d", "bound", "fano"), [(2, 3, 3), (3, 3, 15), (4, 2, 105)])
+    def test_validate_accepts_exactly_the_fano_grids(self, d, bound, fano):
+        accepted = 0
+        for grid in all_upper_triangular_grids(d, bound):
+            verdict = outcome(validate, grid)[0] == "accepted"
+            assert verdict == (fano_violation(grid) is None), grid
+            accepted += verdict
+        assert accepted == fano == count_matrices(d)
+
+    def test_violation_names_a_failing_cone(self):
+        # the Hirzebruch surface F_2: on the cone of e_1, e_2 the support
+        # function is u = (1, 1), and the ray -e_1 + 2 e_2 reaches 1
+        assert fano_violation([[0, 2], [0, 0]]) == ((0, 1), 2)
+
+    @settings(deadline=None)
+    @given(perturbed_upper_triangular_grids())
+    def test_agrees_with_validate_near_admissible_grids(self, grid):
+        verdict = outcome(validate, grid)[0] == "accepted"
+        assert verdict == (fano_violation(grid) is None)
 
 
 class TestRowStructure:
@@ -584,3 +625,17 @@ class TestJson:
     @given(admissible_matrices(max_dim=16))
     def test_digest_hashes_the_compact_json(self, m):
         assert m.digest() == reference_digest(m)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_compact_json_of_every_small_matrix(self, d):
+        for m in fb(d):
+            assert m._compact_json() == reference_compact_json(m)
+
+    def test_compact_json_of_the_empty_matrix(self):
+        m = FanoBottMatrix(())
+        assert m._compact_json() == reference_compact_json(m) == '{"dim":0,"entries":[]}'
+
+    @settings(deadline=None)
+    @given(admissible_matrices(max_dim=64))
+    def test_compact_json_matches_json_dumps(self, m):
+        assert m._compact_json() == reference_compact_json(m)
