@@ -220,7 +220,8 @@ def certify_diffeo(a: FanoBottMatrix, a2: FanoBottMatrix,
             flipped = {step.perm[v - 1] for v in flipped}
         ray_rows = _move_rays(ray_rows, step)
     m_target = rays(a2)
-    # the signs at flipped turned back (a root in tampered data keeps None)
+    # the signs at flipped turned back, each a root-edge flip, so the prefix
+    # is admissible as _matrix_of needs (a root in tampered data keeps None)
     prefix = PhiSigma(reached.phi, tuple([_FLIP.get(s) if v in flipped else s
                                           for v, s in enumerate(reached.sigma, 1)]))
     m_transformed = rays(_matrix_of(prefix)) if flipped else m_target

@@ -11,6 +11,12 @@ This module owns validation against these row templates, the bijection
 with parent/sign data, and exhaustive enumeration.  Row and column labels
 are 1-based in every public interface; the stored row tuples are ordinary
 0-based sequences.
+
+A matrix is parsed once: :func:`validate` keeps the parent/sign data its
+scan reads off, a matrix built from parent/sign data keeps the data it was
+built from, and :meth:`FanoBottMatrix.digest` hashes once per object.  Only
+a matrix built without :func:`validate` is scanned again, by its first
+:func:`to_phi_sigma`.
 """
 
 from __future__ import annotations
@@ -93,9 +99,19 @@ class Record:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):
+        """Rebuild from the fields in order, so no memo slot travels."""
+        return type(self), tuple(self.__dict__.values())
+
 
 class FanoBottMatrix(Record):
-    """A validated admissible matrix.  Construct through :func:`validate`."""
+    """A validated admissible matrix.  Construct through :func:`validate`.
+
+    Two slots outside the fields memoize the parent/sign data and the
+    digest, so equality, hashing and repr never see them.
+    """
+
+    __slots__ = ("_ps", "_sha")
 
     rows: tuple[tuple[int, ...], ...]
 
@@ -120,9 +136,14 @@ class FanoBottMatrix(Record):
 
     def digest(self) -> str:
         """Hex sha256 of the compact JSON form with sorted keys."""
-        import hashlib
+        try:
+            return self._sha
+        except AttributeError:
+            import hashlib
 
-        return hashlib.sha256(self._compact_json().encode("ascii")).hexdigest()
+            sha = hashlib.sha256(self._compact_json().encode("ascii")).hexdigest()
+            object.__setattr__(self, "_sha", sha)
+            return sha
 
 
 def _violation(rows: tuple[tuple[int, ...], ...], p0: int) -> str | None:
@@ -212,8 +233,7 @@ def validate(grid: Sequence[Sequence[int]]) -> FanoBottMatrix:
         InvalidMatrixError: with the 1-based row and the failed condition.
     """
     rows = tuple(map(tuple, grid))
-    _accept(rows)
-    return FanoBottMatrix(rows)
+    return _parsed(rows, _accept(rows))
 
 
 def matrix_from_json(data: object) -> FanoBottMatrix:
@@ -278,10 +298,17 @@ def phi_sigma(phi: Sequence[int], sigma: Sequence[str | None]) -> PhiSigma:
 def to_phi_sigma(a: FanoBottMatrix) -> PhiSigma:
     """Read off phi (leading column of each row, d+1 for zero rows) and sigma.
 
-    Uses validate's scan, so a matrix built without :func:`validate` that
-    is not admissible raises validate's error instead of a wrong reading.
+    A matrix from :func:`validate` or from parent/sign data returns the
+    data it carries.  Any other matrix goes through validate's scan, so one
+    that is not admissible raises validate's error instead of a wrong
+    reading, and only a successful scan is kept.
     """
-    return _accept(tuple(map(tuple, a.rows)))
+    try:
+        return a._ps
+    except AttributeError:
+        ps = _accept(tuple(map(tuple, a.rows)))
+        object.__setattr__(a, "_ps", ps)
+        return ps
 
 
 def _rows_bottom_up(d: int, choices: Iterable[tuple[int, str | None]]
@@ -308,9 +335,21 @@ def _rows_bottom_up(d: int, choices: Iterable[tuple[int, str | None]]
     return tuple(rows)
 
 
+def _parsed(rows: tuple[tuple[int, ...], ...], ps: PhiSigma) -> FanoBottMatrix:
+    """The matrix of rows, keeping ps as the data a scan of rows reads off."""
+    a = FanoBottMatrix(rows)
+    object.__setattr__(a, "_ps", ps)
+    return a
+
+
 def _matrix_of(ps: PhiSigma) -> FanoBottMatrix:
-    """The matrix of parent/sign data that is already known to be valid."""
-    return FanoBottMatrix(_rows_bottom_up(ps.dim, zip(reversed(ps.phi), reversed(ps.sigma))))
+    """The matrix of parent/sign data that is already known to be valid.
+
+    The matrix keeps ps unchecked, so ps must be what :func:`to_phi_sigma`
+    would read off: tuples from :func:`phi_sigma`, from a scan, or from
+    moves applied to either.
+    """
+    return _parsed(_rows_bottom_up(ps.dim, zip(reversed(ps.phi), reversed(ps.sigma))), ps)
 
 
 def from_phi_sigma(ps: PhiSigma) -> FanoBottMatrix:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import inspect
 import pickle
@@ -159,6 +160,15 @@ class TestRecordAgainstFrozenDataclass:
     def test_pickle_round_trip(self, cls):
         record = cls(*_values(cls, "a"))
         assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_parsed_and_digested_matrix_copies_and_pickles():
+    a = matrix.validate([[0, 1, 0], [0, 0, -1], [0, 0, 0]])
+    ps, sha = matrix.to_phi_sigma(a), a.digest()
+    for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert twin == a and repr(twin) == repr(a) and hash(twin) == hash(a)
+        assert matrix.to_phi_sigma(twin) == ps
+        assert twin.digest() == sha
 
 
 def test_records_of_different_classes_are_unequal():

@@ -328,7 +328,11 @@ class TestFanoOracle:
     """validate against the strict convexity of the anticanonical support
     function on the Bott fan, which decides the Fano condition."""
 
-    @pytest.mark.parametrize(("d", "bound", "fano"), [(2, 3, 3), (3, 3, 15), (4, 2, 105)])
+    # d=5 checks 945 of 59,049 grids, in seconds: run it with -m slow
+    @pytest.mark.parametrize(("d", "bound", "fano"), [
+        (2, 3, 3), (3, 3, 15), (4, 2, 105),
+        pytest.param(5, 1, 945, marks=pytest.mark.slow),
+    ])
     def test_validate_accepts_exactly_the_fano_grids(self, d, bound, fano):
         accepted = 0
         for grid in all_upper_triangular_grids(d, bound):
@@ -445,9 +449,11 @@ class TestPhiSigma:
          "leading +1 in column 2 but entry in column 3 is nonzero: not a unit row"),
     ])
     def test_unvalidated_matrix_raises_validate_error(self, rows, row, violation):
-        with pytest.raises(InvalidMatrixError) as err:
-            to_phi_sigma(FanoBottMatrix(rows))
-        assert (err.value.row, err.value.violation) == (row, violation)
+        a = FanoBottMatrix(rows)
+        for _ in range(2):  # a failed scan is not kept
+            with pytest.raises(InvalidMatrixError) as err:
+                to_phi_sigma(a)
+            assert (err.value.row, err.value.violation) == (row, violation)
 
     @settings(max_examples=200, deadline=None)
     @given(corrupted_grids())
@@ -639,3 +645,47 @@ class TestJson:
     @given(admissible_matrices(max_dim=64))
     def test_compact_json_matches_json_dumps(self, m):
         assert m._compact_json() == reference_compact_json(m)
+
+
+def assert_fresh_memos(m):
+    """m carries the data a fresh scan reads off, and its digest is the
+    sha256 of its JSON."""
+    assert m._ps == matrix_module._accept(tuple(map(tuple, m.rows)))
+    assert m.digest() == m.digest() == reference_digest(m)
+
+
+class TestParsedOnce:
+    """A matrix keeps the parent/sign data it was built with or scanned to,
+    and hashes once."""
+
+    @settings(deadline=None)
+    @given(admissible_matrices(max_dim=24, chains=True))
+    def test_constructors_keep_the_data_of_a_fresh_scan(self, m):
+        ps = to_phi_sigma(m)
+        grid = [list(row) for row in m.rows]
+        for built in (m, validate(grid), matrix_from_json(m.to_json()),
+                      from_phi_sigma(ps), _matrix_of(ps)):
+            assert built == m
+            assert_fresh_memos(built)
+
+    def test_matrix_without_validate_is_scanned_once(self, monkeypatch):
+        scans = []
+        original = matrix_module._accept
+
+        def counting(rows):
+            scans.append(rows)
+            return original(rows)
+
+        monkeypatch.setattr(matrix_module, "_accept", counting)
+        a = FanoBottMatrix(tuple(map(tuple, REFERENCE_6)))
+        first = to_phi_sigma(a)
+        assert to_phi_sigma(a) is first
+        assert len(scans) == 1
+        assert_fresh_memos(a)
+
+    def test_memos_are_not_fields(self, a6):
+        plain = FanoBottMatrix(a6.rows)
+        to_phi_sigma(a6)
+        a6.digest()
+        assert a6.__dict__ == plain.__dict__ == {"rows": a6.rows}
+        assert (a6 == plain, hash(a6), repr(a6)) == (True, hash(plain), repr(plain))

@@ -6,6 +6,7 @@ import operator
 from collections import defaultdict
 from itertools import permutations, product
 from math import factorial, prod
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -43,7 +44,9 @@ from fanobott import (
     flip_column,
     flip_root_edge,
     from_matrix,
+    leaves,
     make_forest,
+    quotient_by_leaf,
     relabel,
     replay,
     to_matrix,
@@ -54,7 +57,7 @@ from fanobott import (
 from fanobott import forest as forest_module
 from fanobott import matrix as matrix_module
 from fanobott import ops as ops_module
-from fanobott.forest import _match_forests, _phi_sigma_of
+from fanobott.forest import _forest_of, _match_forests, _phi_sigma_of
 from fanobott.matrix import _matrix_of, _phi_sigmas, _row_weights
 from fanobott.ops import neighbors
 from test_forest import (
@@ -64,7 +67,7 @@ from test_forest import (
     labeled_forests,
     reference_vertex_code,
 )
-from test_matrix import stream_position
+from test_matrix import admissible_matrices, assert_fresh_memos, stream_position
 
 FLIP = {"+": "-", "-": "+"}
 
@@ -975,3 +978,61 @@ class TestFindWitness:
         a, b = seven_vertex_pair()
         sequence = find_witness(a, b)
         assert witness_from_json(sequence.to_json()) == sequence
+
+
+@st.composite
+def replayable_steps(draw, a, max_steps=6):
+    """Steps that replay from a: admissible relabelings, column flips and
+    root-edge flips, each one valid where it is applied."""
+    ps = to_phi_sigma(a)
+    steps = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_steps))):
+        kind = draw(st.sampled_from("p23"))
+        if kind == "p":
+            step = ConjugateStep(draw(linear_extensions(_forest_of(ps))))
+        elif kind == "2":
+            step = ColumnFlipStep(draw(st.integers(min_value=1, max_value=ps.dim)))
+        else:
+            pairs = ops_module._valid_root_edge_pairs(ps)
+            if not pairs:
+                continue
+            step = RootEdgeFlipStep(*draw(st.sampled_from(pairs)))
+        ps = ops_module._move(ps, step)
+        steps.append(step)
+    return steps
+
+
+def refuse_to_scan(rows):
+    raise AssertionError("a parsed matrix was scanned again")
+
+
+class TestParsedOnce:
+    """Every move builds its result from parent/sign data it already holds,
+    and the result keeps the data a fresh scan would read off."""
+
+    @settings(deadline=None)
+    @given(admissible_matrices(max_dim=24, chains=True), st.data())
+    def test_every_move_keeps_the_data_of_a_fresh_scan(self, a, data):
+        results = [flip_column(a, k) for k in range(1, a.dim + 1)]
+        results += [flip_root_edge(a, k, l) for k, l in valid_edge_flip_pairs(a)]
+        steps = data.draw(replayable_steps(a))
+        results.append(replay(a, steps))
+        results += [quotient_by_leaf(a, v) for v in leaves(from_matrix(a))]
+        if a.dim <= 6:  # the conjugates grow as d!
+            results += neighbors(a)
+        for m in results:
+            assert_fresh_memos(m)
+        assert replay(a, steps) == reference_replay(a, steps)
+
+    @settings(max_examples=50, deadline=None)
+    @given(diffeo_partners(forests(max_size=12)))
+    def test_witness_replay_and_certify_scan_no_parsed_matrix(self, pair):
+        t, other = pair
+        pairs = [(to_matrix(t), validate(to_matrix(relabel_topological(other)[0]).rows)),
+                 seven_vertex_pair()]
+        with mock.patch.object(matrix_module, "_accept", refuse_to_scan):
+            for a, b in pairs:
+                witness = find_witness(a, b)
+                assert replay(a, witness) == b
+                certificate = certify_diffeo(a, b, witness_from_json(witness.to_json()))
+                assert certificate.witness == witness
