@@ -16,14 +16,13 @@ flat tuple of small ints: the interned multisets of pending child tokens
 and of root codes.  The representatives are the matrices at those
 positions, decoded with one choice table and printed as compact JSON in
 stream order, which is the first member of each class in the stream.
-`oracle` runs the move-graph search on stream positions, reads the
-diffeo code id of every position from the same layered pass, and checks
-that code and search class determine each other: there must be as many
-(class, code) pairs as classes and as codes.  It builds no matrix, forest
-or code per position.  Memory follows the states of the layers, the
-interned multisets and the classes for `classify`, and one union-find
-entry and one code id per position for `oracle`; nothing is printed
-before the work ends, so an error leaves stdout empty.
+`oracle` runs the move-graph search (a union-find over flip cosets with
+swap edges), reads each position's diffeo code id from the same layered
+pass, and checks that class and code determine each other: as many
+(class, code) pairs as classes and as codes.  No matrix, forest or code
+is built per position.  Memory follows the states, the interned multisets
+and the classes for `classify`, and a class and a code id per position
+for `oracle`; nothing prints before the end, so errors leave stdout empty.
 
 A process loads only the modules its command runs: `matrix` and `forest`
 at import (the `--mode` choices come from `forest.MODES`), `ops` inside

@@ -391,13 +391,6 @@ def enumerate_matrices(d: int) -> Iterator[FanoBottMatrix]:
         yield FanoBottMatrix(_rows_bottom_up(d, combo))
 
 
-def _phi_sigmas(d: int) -> Iterator[PhiSigma]:
-    """The parent/sign data of :func:`enumerate_matrices`, in stream order."""
-    for combo in product(*reversed(_row_choices(d))):
-        phi, sigma = zip(*reversed(combo))
-        yield PhiSigma(phi, sigma)
-
-
 def _row_weights(d: int) -> list[int]:
     """Stream weight of rows 1..d: the product of the choice counts before."""
     weights = [1]

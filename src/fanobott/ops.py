@@ -16,13 +16,12 @@ underlying towers:
 Each move is applied to parent/sign data, in O(d), and matrices are built
 only where a caller needs one.  A replayable witness is a sequence of
 steps together with digests of its endpoints.  For small d the move graph
-itself is searched exhaustively, on stream positions, which serves as
-ground truth for the canonical codes.
+is searched exhaustively, on flip cosets, as ground truth for the codes.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from fanobott.forest import _FLIP, _check_perm, _match_forests, _phi_sigma_of, from_matrix
 from fanobott.matrix import (
@@ -31,7 +30,6 @@ from fanobott.matrix import (
     PhiSigma,
     Record,
     _matrix_of,
-    _phi_sigmas,
     _require_int,
     _row_weights,
     count_matrices,
@@ -334,70 +332,83 @@ def neighbors(a: FanoBottMatrix, *,
     return [_matrix_of(_move(ps, step)) for step in steps]
 
 
-def _move_deltas(ps: PhiSigma, weights: Sequence[int],
-                 use_root_edge_flips: bool) -> list[int]:
-    """Stream-position deltas of the flips and adjacent swaps of ps.
+def _swap_deltas(phi: Sequence[int], weights: Sequence[int]) -> list[tuple[int, int, int]]:
+    """The relabelings by transpositions (x x+1) as stream-position deltas.
 
-    A sign change of row p, its toggle, moves the position by
-    (d - p) * weight(p): up from "+" to "-", down from "-" to "+".  The list
-    holds the column flips at 1..d, each the sum of the toggles of k's
-    children (0 at a leaf), then, when enabled, the root-edge flips (k, l)
-    by increasing k, each the one toggle of row k, then the relabelings by
-    the transpositions (x x+1) for x = 1..d-1, skipping each x with
-    phi(x) = x+1, whose swap would put a child above its parent.
-
-    A swap gives row x the edge of old row x+1 and row x+1 the edge of old
-    row x; neither parent label changes, since both parents lie above x+1.
-    Each child of x now points at x+1, one step further along its choice
-    list, and each child of x+1 one step back, so the children add
-    below[x] - below[x+1], where below[q] sums the weights of q's children.
+    One (x, delta, shift) per x = 1..d-1 with phi(x) != x+1: the swap moves
+    a position with parent map phi by delta + (s(x+1) - s(x)) * shift, with
+    s(p) = 1 where row p carries "-".  Rows x and x+1 trade edges under
+    parents above x+1, so x's children move one choice on, x+1's one back.
     """
-    phi, sigma = ps.phi, ps.sigma
     d = len(phi)
-    columns = [0] * (d + 1)
-    below = [0] * (d + 1)
-    index = [0] * (d + 1)  # index[p]: row p's choice index, 0 at a root
-    edges = []
-    for p, q, s, w in zip(range(1, d + 1), phi, sigma, weights):
-        if q <= d:
-            toggle = (d - p) * w
-            if s == "+":
-                index[p] = q - p
-            else:
-                index[p] = d + q - 2 * p
-                toggle = -toggle
-            columns[q] += toggle
-            below[q] += w
-            if use_root_edge_flips and phi[q - 1] > d:
-                edges.append(toggle)
-    deltas = columns[1:] + edges
-    for x in range(1, d):
-        q, r = phi[x - 1], phi[x]
-        if q == x + 1:
-            continue
-        # the choice indices of the new rows x and x+1
-        new_x = 0 if r > d else r - x if sigma[x] == "+" else d + r - 2 * x
-        new_x1 = 0 if q > d else q - x - 1 if sigma[x - 1] == "+" else d + q - 2 * x - 2
-        deltas.append((new_x - index[x]) * weights[x - 1]
-                      + (new_x1 - index[x + 1]) * weights[x]
-                      + below[x] - below[x + 1])
-    return deltas
+    below = [0] * (d + 2)
+    for q, w in zip(phi, weights):
+        below[q] += w
+    swaps = []
+    for x, q, r, w, w1 in zip(range(1, d), phi, phi[1:], weights, weights[1:]):
+        if q != x + 1:
+            # the choice indices of rows x and x+1 with every sign "+"
+            old = (q - x if q <= d else 0) * w + (r - x - 1 if r <= d else 0) * w1
+            new = (r - x if r <= d else 0) * w + (q - x - 1 if q <= d else 0) * w1
+            swaps.append((x, new - old + below[x] - below[x + 1],
+                          (d - x) * w - (d - x - 1) * w1))
+    return swaps
+
+
+def _flip_cosets(d: int, use_root_edge_flips: bool
+                 ) -> Iterator[tuple[list[int], list[int]]]:
+    """Each flip coset's positions, smallest first, and its swap targets.
+
+    With phi fixed, a position is the all-"+" one plus t(p) = (d - p) *
+    weight(p) per "-" row p.  Flips toggle disjoint groups: each internal
+    vertex's children, but each root child alone with root-edge flips.  As
+    t(p) > (weight(p) - 1) / 2, all t below p together, the smallest member
+    has "+" on each group's largest row.
+    """
+    from itertools import product
+
+    weights = _row_weights(d)
+    toggle = [0] + [(d - p) * w for p, w in enumerate(weights, 1)]
+    for phi in product(*[range(p + 1, d + 2) for p in range(1, d + 1)]):
+        kids: list[list[int]] = [[] for _ in range(d + 2)]
+        base = 0  # the position with every sign "+"
+        for p, q, w in zip(range(1, d + 1), phi, weights):
+            if q <= d:
+                kids[q].append(p)
+                base += (q - p) * w
+        # Each group's sign patterns with "+" on its largest row, as
+        # (offset from base, toggle sum of the group, bits of the "-" rows).
+        groups = []
+        for k, group in enumerate(kids[1:d + 1], 1):
+            if use_root_edge_flips and phi[k - 1] > d:
+                groups += [[(0, toggle[v], 0)] for v in group]
+            elif group:
+                patterns = [(0, sum(map(toggle.__getitem__, group)), 0)]
+                for v in group[:-1]:
+                    patterns += [(offset + toggle[v], t - 2 * toggle[v], bits | 1 << v)
+                                 for offset, t, bits in patterns]
+                groups.append(patterns)
+        swaps = _swap_deltas(phi, weights)
+        for patterns in product(*groups):
+            c, minus, members = base, 0, [0]
+            for offset, t, bits in patterns:
+                c += offset
+                minus |= bits
+                members += [m + t for m in members]
+            yield [c + m for m in members], [c + delta + shift * (
+                (minus >> x + 1 & 1) - (minus >> x & 1)) for x, delta, shift in swaps]
 
 
 def _closure_roots(d: int, use_root_edge_flips: bool = True) -> list[int]:
-    """Move-graph components on stream positions: the smallest position of
-    each position's class, for positions 0 .. (2d-1)!!-1.
+    """The smallest position of each stream position's move-graph class.
 
-    No matrix is built and no move is applied: every edge is a position
-    delta (see :func:`_move_deltas`).  The admissible relabelings of a
-    forest are its linear extensions, and any two linear extensions are
-    joined by swaps of adjacent labels that are not parent and child (the
-    bubble-sort argument), so the adjacent swaps connect each relabeling
-    orbit as all conjugations do.  Every flip and every swap undoes
-    itself, so each edge is joined once, from its smaller end.
+    Each member of a coset of :func:`_flip_cosets` points at the coset's
+    smallest position, a node of a union-find joined along the swaps, which
+    link any two linear extensions of a forest (bubble sort).  A swap maps
+    a coset onto a coset and undoes itself, so it is joined from the coset
+    filed last.
     """
-    weights = _row_weights(d)
-    parent = list(range(count_matrices(d)))
+    parent = [-1] * count_matrices(d)
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -405,17 +416,14 @@ def _closure_roots(d: int, use_root_edge_flips: bool = True) -> list[int]:
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for i, ps in enumerate(_phi_sigmas(d)):
-        for delta in _move_deltas(ps, weights, use_root_edge_flips):
-            if delta > 0:
-                union(i, i + delta)
-    # A union keeps the smaller root and path halving only lowers parents,
-    # so parent[x] <= x, and one pass in order resolves every root.
+    for members, targets in _flip_cosets(d, use_root_edge_flips):
+        for m in members:
+            parent[m] = members[0]
+        for target in targets:
+            if parent[target] >= 0:
+                a, b = find(members[0]), find(target)
+                parent[max(a, b)] = min(a, b)
+    # parent[x] <= x throughout, so one pass in order resolves every root.
     for i, p in enumerate(parent):
         parent[i] = parent[p]
     return parent
@@ -430,8 +438,8 @@ def bfs_closure_classes(d: int, *,
     With use_root_edge_flips=False only relabelings and column flips are
     used, which characterizes isomorphism of the underlying varieties.
     Classes come in first-occurrence order of the enumeration stream and
-    list their members in stream order.  The search runs on stream
-    positions (:func:`_closure_roots`); only the grouping builds matrices.
+    list their members in stream order.  The search (:func:`_closure_roots`)
+    reaches d = 8, but the grouping builds every matrix.
     """
     groups: dict[int, list[FanoBottMatrix]] = {}
     for root, m in zip(_closure_roots(d, use_root_edge_flips), enumerate_matrices(d)):

@@ -10,6 +10,7 @@ from itertools import product
 import pytest
 
 from fanobott import (
+    PhiSigma,
     children_map,
     enumerate_matrices,
     make_forest,
@@ -17,6 +18,7 @@ from fanobott import (
     to_matrix,
     validate,
 )
+from fanobott.matrix import _row_choices
 
 # 6x6 reference matrix with one tree: root 6, children 3 and 5,
 # 3 above 1 (+) and 2 (-), 5 above 4 (-); edge signs 3:-, 5:+.
@@ -153,6 +155,13 @@ def fb(d: int) -> list:
     if d not in _FB_CACHE:
         _FB_CACHE[d] = list(enumerate_matrices(d))
     return _FB_CACHE[d]
+
+
+def phi_sigmas(d: int):
+    """The parent/sign data of the enumeration stream, in stream order."""
+    for combo in product(*reversed(_row_choices(d))):
+        phi, sigma = zip(*reversed(combo))
+        yield PhiSigma(phi, sigma)
 
 
 @functools.cache

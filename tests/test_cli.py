@@ -295,6 +295,12 @@ class TestReports:
 
 
 class TestOracle:
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_nonpositive_dimension_exits_2(self, capsys, d):
+        code, out, err = run(capsys, "oracle", "-d", d)
+        assert (code, out) == (2, "")
+        assert err == "error: d must be at least 1\n"
+
     def test_d3_golden(self, capsys):
         code, out, _ = run(capsys, "oracle", "-d", "3")
         assert code == 0

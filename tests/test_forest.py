@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fb, relabel_topological, seven_vertex_pair, star_trio
+from conftest import fb, phi_sigmas, relabel_topological, seven_vertex_pair, star_trio
 from fanobott import (
     DIFFEO,
     MODES,
@@ -38,7 +38,7 @@ from fanobott.forest import (
     _layers,
     _vertex_code,
 )
-from fanobott.matrix import _matrices_at, _phi_sigmas, _row_choices
+from fanobott.matrix import _matrices_at, _row_choices
 
 FLIP = {"+": "-", "-": "+"}
 
@@ -489,7 +489,7 @@ class TestCodeIds:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_ids_and_codes_partition_the_positions_alike(self, d, mode):
         ids = _code_ids(d, mode)
-        codes = [canonical_code(_forest_of(ps), mode).code for ps in _phi_sigmas(d)]
+        codes = [canonical_code(_forest_of(ps), mode).code for ps in phi_sigmas(d)]
         assert len(ids) == len(codes)
         # one code per id and one id per code
         assert len(set(zip(ids, codes))) == len(set(ids)) == len(set(codes))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FOREST_5, REFERENCE_6, TREE_5, fano_violation, fb
+from conftest import FOREST_5, REFERENCE_6, TREE_5, fano_violation, fb, phi_sigmas
 from fanobott import (
     FanoBottMatrix,
     InvalidMatrixError,
@@ -29,7 +29,6 @@ from fanobott import matrix as matrix_module
 from fanobott.matrix import (
     _matrices_at,
     _matrix_of,
-    _phi_sigmas,
     _row_weights,
     _violation,
 )
@@ -544,13 +543,13 @@ class TestStreamPositions:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_encode_inverts_decode(self, d):
         weights = _row_weights(d)
-        assert [stream_position(ps, weights) for ps in _phi_sigmas(d)] \
+        assert [stream_position(ps, weights) for ps in phi_sigmas(d)] \
             == list(range(count_matrices(d)))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_decode_follows_the_stream(self, d):
         stream = fb(d) if d <= 5 else list(enumerate_matrices(d))
-        assert [_matrix_of(ps) for ps in _phi_sigmas(d)] == stream
+        assert [_matrix_of(ps) for ps in phi_sigmas(d)] == stream
 
     def test_weights_multiply_the_choice_counts_before(self):
         # rows 1..4 of a 5 x 5 matrix offer 9, 7, 5 and 3 choices
@@ -559,7 +558,7 @@ class TestStreamPositions:
 
     def test_decode_rejects_nonpositive_dimension(self):
         with pytest.raises(ValueError):
-            list(_phi_sigmas(0))
+            list(phi_sigmas(0))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_count_is_the_weight_of_the_last_row(self, d):

@@ -18,6 +18,7 @@ from conftest import (
     REFERENCE_6_EDGEFLIP_3_6,
     REFERENCE_6_EDGEFLIP_5_6,
     fb,
+    phi_sigmas,
     relabel_topological,
     seven_vertex_pair,
     subtree_vertices,
@@ -58,7 +59,7 @@ from fanobott import forest as forest_module
 from fanobott import matrix as matrix_module
 from fanobott import ops as ops_module
 from fanobott.forest import _forest_of, _match_forests, _phi_sigma_of
-from fanobott.matrix import _matrix_of, _phi_sigmas, _row_weights
+from fanobott.matrix import _matrix_of, _row_weights
 from fanobott.ops import neighbors
 from test_forest import (
     flip_children_at,
@@ -737,9 +738,20 @@ class TestBfsClosure:
         assert ops_module._closure_roots(d, use_root_edge_flips) \
             == reference_closure_roots(d, use_root_edge_flips)
 
+    @pytest.mark.parametrize("use_root_edge_flips", [True, False])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_roots_equal_position_search(self, d, use_root_edge_flips):
+        assert ops_module._closure_roots(d, use_root_edge_flips) \
+            == position_closure_roots(d, use_root_edge_flips)
+
     def test_class_counts_at_d7(self):
         assert len(set(ops_module._closure_roots(7))) == 207
         assert len(set(ops_module._closure_roots(7, False))) == 345
+
+    @pytest.mark.slow
+    def test_class_counts_at_d8(self):
+        assert len(set(ops_module._closure_roots(8))) == 639
+        assert len(set(ops_module._closure_roots(8, False))) == 1105
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_relabel_and_column_flips_match_variety_codes(self, d):
@@ -770,9 +782,34 @@ def swap_step(d, x):
     return ConjugateStep(tuple(perm))
 
 
-def move_deltas(ps, use_root_edge_flips):
-    """_move_deltas of ps, with the weights _closure_roots uses."""
-    return ops_module._move_deltas(ps, _row_weights(ps.dim), use_root_edge_flips)
+def flip_deltas(ps, weights, use_root_edge_flips):
+    """Stream-position deltas of the flips of ps, as the position search
+    took them.
+
+    A sign change of row p, its toggle, moves the position by
+    (d - p) * weight(p): up from "+" to "-", down from "-" to "+".  The list
+    holds the column flips at 1..d, each the sum of the toggles of k's
+    children (0 at a leaf), then, when enabled, the root-edge flips (k, l)
+    by increasing k, each the one toggle of row k.
+    """
+    phi, sigma = ps.phi, ps.sigma
+    d = len(phi)
+    columns = [0] * (d + 1)
+    edges = []
+    for p, q, s, w in zip(range(1, d + 1), phi, sigma, weights):
+        if q <= d:
+            toggle = (d - p) * w if s == "+" else -(d - p) * w
+            columns[q] += toggle
+            if use_root_edge_flips and phi[q - 1] > d:
+                edges.append(toggle)
+    return columns[1:] + edges
+
+
+def swap_deltas(ps, weights):
+    """The deltas of ops._swap_deltas at the signs of ps."""
+    minus = [s == "-" for s in ps.sigma]
+    return [delta + (minus[x] - minus[x - 1]) * shift
+            for x, delta, shift in ops_module._swap_deltas(ps.phi, weights)]
 
 
 def position_differences(ps, steps):
@@ -789,20 +826,43 @@ def position_differences(ps, steps):
 
 
 def flip_deltas_and_moves(ps, use_root_edge_flips):
-    """The flip prefix of _move_deltas, and the position differences of the
-    flip moves."""
+    """flip_deltas of ps, and the position differences of the flip moves."""
     steps = flip_steps(ps, use_root_edge_flips)
-    return (move_deltas(ps, use_root_edge_flips)[:len(steps)],
+    return (flip_deltas(ps, _row_weights(ps.dim), use_root_edge_flips),
             position_differences(ps, steps))
 
 
-def swap_deltas_and_moves(ps, use_root_edge_flips):
-    """The swap suffix of _move_deltas, and the position differences of the
-    admissible relabelings by (x x+1), x = 1..d-1."""
-    flips = len(flip_steps(ps, use_root_edge_flips))
+def swap_deltas_and_moves(ps):
+    """swap_deltas of ps, and the position differences of the admissible
+    relabelings by (x x+1), x = 1..d-1."""
     swaps = [swap_step(ps.dim, x) for x in range(1, ps.dim)]
-    return (move_deltas(ps, use_root_edge_flips)[flips:],
-            position_differences(ps, swaps))
+    return swap_deltas(ps, _row_weights(ps.dim)), position_differences(ps, swaps)
+
+
+def position_closure_roots(d, use_root_edge_flips=True):
+    """The position search the coset search replaced: a union-find entry
+    per stream position, joined along every flip delta and swap delta from
+    the smaller end (every flip and every swap undoes itself)."""
+    weights = _row_weights(d)
+    parent = list(range(matrix_module.count_matrices(d)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, ps in enumerate(phi_sigmas(d)):
+        for delta in (flip_deltas(ps, weights, use_root_edge_flips)
+                      + swap_deltas(ps, weights)):
+            if delta > 0:
+                rx, ry = find(i), find(i + delta)
+                parent[max(rx, ry)] = min(rx, ry)
+    # A union keeps the smaller root and path halving only lowers parents,
+    # so parent[x] <= x, and one pass in order resolves every root.
+    for i, p in enumerate(parent):
+        parent[i] = parent[p]
+    return parent
 
 
 def reference_closure_roots(d, use_root_edge_flips=True):
@@ -822,7 +882,7 @@ def reference_closure_roots(d, use_root_edge_flips=True):
         rx, ry = find(x), find(y)
         parent[max(rx, ry)] = min(rx, ry)
 
-    for i, ps in enumerate(_phi_sigmas(d)):
+    for i, ps in enumerate(phi_sigmas(d)):
         for step in flip_steps(ps, use_root_edge_flips):
             union(i, stream_position(ops_module._move(ps, step), weights))
         if relabeled[i]:
@@ -840,7 +900,7 @@ class TestFlipDeltas:
     @pytest.mark.parametrize("use_root_edge_flips", [True, False])
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_every_flip_at_every_position(self, d, use_root_edge_flips):
-        for ps in _phi_sigmas(d):
+        for ps in phi_sigmas(d):
             deltas, moved = flip_deltas_and_moves(ps, use_root_edge_flips)
             assert deltas == moved
 
@@ -871,25 +931,63 @@ class TestSwapDeltas:
     @pytest.mark.parametrize("use_root_edge_flips", [True, False])
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_every_swap_at_every_position(self, d, use_root_edge_flips):
-        for ps in _phi_sigmas(d):
-            deltas, moved = swap_deltas_and_moves(ps, use_root_edge_flips)
+        stream = list(phi_sigmas(d))
+        for ps in stream:
+            deltas, moved = swap_deltas_and_moves(ps)
             assert deltas == moved
+        # The coset search takes the swaps of each coset's smallest member.
+        for members, targets in ops_module._flip_cosets(d, use_root_edge_flips):
+            c = members[0]
+            assert targets == [c + delta for delta in swap_deltas_and_moves(stream[c])[1]]
 
     @settings(max_examples=200, deadline=None)
-    @given(forests(max_size=12), st.booleans())
-    def test_every_swap_up_to_12(self, t, use_root_edge_flips):
+    @given(forests(max_size=12))
+    def test_every_swap_up_to_12(self, t):
         if not t.size:
             return
-        deltas, moved = swap_deltas_and_moves(_phi_sigma_of(t), use_root_edge_flips)
+        deltas, moved = swap_deltas_and_moves(_phi_sigma_of(t))
         assert deltas == moved
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_skips_exactly_the_rejected_swaps(self, d):
-        for ps in _phi_sigmas(d):
+        for ps in phi_sigmas(d):
             rejected = [x for x in range(1, d)
                         if not position_differences(ps, [swap_step(d, x)])]
             assert rejected == [x for x in range(1, d) if ps.phi[x - 1] == x + 1]
-            assert len(move_deltas(ps, True)) == len(flip_steps(ps, True)) + d - 1 - len(rejected)
+            assert [x for x, _, _ in ops_module._swap_deltas(ps.phi, _row_weights(d))] \
+                == [x for x in range(1, d) if x not in rejected]
+
+
+class TestFlipCosets:
+    """The nodes of the coset search, against the flip moves themselves."""
+
+    @pytest.mark.parametrize("use_root_edge_flips", [True, False])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_node_minimum_is_the_smallest_flip_reachable_position(
+            self, d, use_root_edge_flips):
+        parent = list(range(matrix_module.count_matrices(d)))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for i, ps in enumerate(phi_sigmas(d)):
+            for delta in position_differences(ps, flip_steps(ps, use_root_edge_flips)):
+                rx, ry = find(i), find(i + delta)
+                parent[max(rx, ry)] = min(rx, ry)
+        node_minimum = [None] * len(parent)
+        for members, _ in ops_module._flip_cosets(d, use_root_edge_flips):
+            for m in members:
+                assert node_minimum[m] is None  # each position in one node
+                node_minimum[m] = members[0]
+        assert node_minimum == [find(i) for i in range(len(parent))]
+
+    def test_node_counts(self):
+        # (diffeo, variety) nodes; the positions number 945 and 135,135
+        for d, counts in [(5, (136, 226)), (7, (7521, 16717))]:
+            assert tuple(sum(1 for _ in ops_module._flip_cosets(d, mode))
+                         for mode in (True, False)) == counts
 
 
 class TestFindWitness:
