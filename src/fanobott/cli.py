@@ -97,7 +97,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.count:
-        print(count_matrices(args.dim))
+        count = count_matrices(args.dim)
+        try:
+            text = str(count)
+        except ValueError:  # over the int-to-str digit limit; Decimal has none
+            from decimal import Decimal
+            text = str(Decimal(count))
+        print(text)
         return 0
     for m in enumerate_matrices(args.dim):
         print(m._compact_json())

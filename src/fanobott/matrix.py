@@ -393,9 +393,11 @@ def enumerate_matrices(d: int) -> Iterator[FanoBottMatrix]:
 
 def _row_weights(d: int) -> list[int]:
     """Stream weight of rows 1..d: the product of the choice counts before."""
+    if d < 1:
+        raise ValueError("d must be at least 1")
     weights = [1]
-    for choices in _row_choices(d)[:-1]:
-        weights.append(weights[-1] * len(choices))
+    for p in range(1, d):
+        weights.append(weights[-1] * (1 + 2 * (d - p)))  # row p's choices
     return weights
 
 

@@ -270,50 +270,30 @@ def _valid_root_edge_pairs(ps: PhiSigma) -> list[tuple[int, int]]:
 
 
 def _admissible_perms(phi: Sequence[int]) -> list[tuple[int, ...]]:
-    """Every perm with perm[v-1] < perm[phi(v)-1] for each non-root v.
+    """Every perm with perm[v-1] < perm[phi(v)-1] for each non-root v, sorted.
 
-    These are the relabelings that keep each label below its parent's,
-    the linear extensions of the forest; there are d!/prod |subtree(v)| of
-    them.  They come in lexicographic order: vertices 1, 2, ..., d take
-    labels in turn, smallest first, each one above the labels of its
-    children (which have smaller numbers, so they are labeled already)
-    and leaving a larger free label for every proper ancestor.  A branch
-    can still run out of labels further down; the search then backs up.
+    These relabelings, the forest's d!/prod |subtree(v)| linear extensions,
+    stay admissible under a swap of labels x and x+1 whose vertices are not
+    child and parent, and such swaps link any two of them (bubble sort;
+    Varol and Rotem 1981), so a search from the identity finds them all.
     """
     d = len(phi)
-    if not d:
-        return [()]
-    kids: list[list[int]] = [[] for _ in range(d + 2)]
-    ancestors = [-1] * (d + 2)
-    for v in range(d, 0, -1):
-        kids[phi[v - 1]].append(v)
-        ancestors[v] = ancestors[phi[v - 1]] + 1
-    used = [False] * (d + 1)
-    perm: list[int] = []
-    out = []
-
-    def labels_for(v: int) -> list[int]:
-        """Candidate labels for vertex v, largest first."""
-        low = max([perm[c - 1] for c in kids[v]], default=0)
-        free = [x for x in range(d, low, -1) if not used[x]]
-        return free[ancestors[v]:]
-
-    stack = [labels_for(1)]
-    while stack:
-        labels = stack[-1]
-        if len(perm) == len(stack):  # undo this level's previous label
-            used[perm.pop()] = False
-        if not labels:
-            stack.pop()
-            continue
-        x = labels.pop()
-        perm.append(x)
-        used[x] = True
-        if len(perm) == d:
-            out.append(tuple(perm))
-        else:
-            stack.append(labels_for(len(perm) + 1))
-    return out
+    found = [tuple(range(1, d + 1))]
+    seen = set(found)
+    for perm in found:  # the loop also visits the perms appended here
+        at = [0] * (d + 1)  # at[x] is the vertex labeled x
+        for v, x in enumerate(perm, 1):
+            at[x] = v
+        for x in range(1, d):
+            u, w = at[x], at[x + 1]
+            if phi[u - 1] != w:  # w, labeled above u, is never u's child
+                labels = list(perm)
+                labels[u - 1], labels[w - 1] = x + 1, x
+                swapped = tuple(labels)
+                if swapped not in seen:
+                    seen.add(swapped)
+                    found.append(swapped)
+    return sorted(found)
 
 
 def neighbors(a: FanoBottMatrix, *,
@@ -404,9 +384,9 @@ def _closure_roots(d: int, use_root_edge_flips: bool = True) -> list[int]:
 
     Each member of a coset of :func:`_flip_cosets` points at the coset's
     smallest position, a node of a union-find joined along the swaps, which
-    link any two linear extensions of a forest (bubble sort).  A swap maps
-    a coset onto a coset and undoes itself, so it is joined from the coset
-    filed last.
+    reach every admissible relabeling (the lemma of :func:`_admissible_perms`).
+    A swap maps a coset onto a coset and undoes itself, so it is joined from
+    the coset filed last.
     """
     parent = [-1] * count_matrices(d)
 

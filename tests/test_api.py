@@ -89,6 +89,11 @@ class TestNamespace:
         )
         assert (result.returncode, result.stdout) == (0, "fanobott.ops\nTrue\n")
 
+    def test_getattr_returns_each_submodule(self):
+        # the branch the fresh process above takes, run in this process too
+        for name in ("cli", "cohomology", "fan", "forest", "matrix", "ops"):
+            assert fanobott.__getattr__(name) is sys.modules[f"fanobott.{name}"]
+
 
 def _twin(cls):
     """A frozen dataclass with the record's name and fields."""

@@ -5,10 +5,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,7 @@ from fanobott import (
     ops,
     validate,
 )
+from fanobott import cli as cli_module
 from fanobott.cli import main
 from test_forest import caterpillar_forest, path_forest
 
@@ -82,6 +85,14 @@ class TestEnumerate:
     def test_count(self, capsys):
         code, out, _ = run(capsys, "enumerate", "-d", "4", "--count")
         assert (code, out) == (0, "105\n")
+
+    def test_count_past_the_int_to_str_digit_limit(self, capsys):
+        # (2d-1)!! has 4914 digits at d = 1600, over Python's default limit
+        # of 4300; Decimal reads the printed digits without that limit.
+        code, out, err = run(capsys, "enumerate", "-d", "1600", "--count")
+        assert (code, err) == (0, "")
+        assert out.endswith("\n") and len(out) == 4915
+        assert Decimal(out) == math.prod(range(1, 3200, 2))
 
     def test_stream_golden(self, capsys):
         code, out, _ = run(capsys, "enumerate", "-d", "2")
@@ -487,6 +498,53 @@ class TestErrorPaths:
         assert code == 0
         assert out == canonical_code(t, DIFFEO).code + "\n"
         assert err == ""
+
+    CANON = ("canon", "--mode", "rooted", "--inline")
+
+    @pytest.mark.parametrize("argv, message", [
+        ((*CANON, '{"parents":[0],"signs":[]}'),
+         "1 parents but 0 signs"),
+        ((*CANON, '{"parents":[5],"signs":["+"]}'),
+         "parent(1) = 5 out of range 0..1"),
+        ((*CANON, '{"parents":[1],"signs":["+"]}'),
+         "vertex 1 is its own parent"),
+        ((*CANON, '{"parents":[0],"signs":["+"]}'),
+         "sign(1) given for a root vertex"),
+        ((*CANON, '{"parents":[2,0],"signs":["x",""]}'),
+         "sign(1) = 'x' is not '+' or '-'"),
+        ((*CANON, '{"parents":[0]}'),
+         'forest object must carry "parents" and "signs"'),
+        ((*CANON, '{"parents":0,"signs":[]}'),
+         '"parents" and "signs" must be lists'),
+        ((*CANON, '{"size":2,"parents":[0],"signs":[""]}'),
+         '"size" does not match the number of parents'),
+        (("validate", "--inline", '{"dim":1}'), 'matrix object must carry an "entries" key'),
+        (("validate", "--inline", '{"entries":3}'), '"entries" must be a list of rows'),
+        (("validate", "--inline", "[1,2]"), "every row must be a list of integers"),
+        (("validate",), "provide FILE or --inline"),
+        (("certify", P2, P2_NEG, '{"steps":[{"op":"9"}]}'), "unknown step tag '9'"),
+        (("certify", P2, P2_NEG, "{}"), 'witness object must carry "steps"'),
+    ], ids=["signs-short", "parent-range", "own-parent", "root-sign", "bad-sign",
+            "no-signs", "parents-int", "size", "no-entries", "entries-int",
+            "row-int", "no-matrix", "step-tag", "no-steps"])
+    def test_malformed_input_is_an_input_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_non_matrix_json_file_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("3")
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out, err) == (2, "", "error: cannot read a matrix from int\n")
+
+    def test_internal_error_exits_2_without_traceback(self, capsys, monkeypatch):
+        def broken(args):
+            raise KeyError("lost")
+
+        _, summary, arguments = cli_module._COMMANDS["validate"]
+        monkeypatch.setitem(cli_module._COMMANDS, "validate", (broken, summary, arguments))
+        code, out, err = run(capsys, "validate", "--inline", P2)
+        assert (code, out, err) == (2, "", "error: KeyError: 'lost'\n")
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -295,6 +295,7 @@ class TestRays:
     def test_two_lines(self):
         m = rays(validate([[0, 0], [0, 0]]))
         assert m.rows == ((1, 0), (0, 1), (-1, 0), (0, -1))
+        assert m.dim == 2
 
     def test_seven_vertex_bottom_half(self):
         a, _ = seven_vertex_pair()

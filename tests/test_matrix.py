@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -480,6 +482,11 @@ class TestPhiSigma:
         with pytest.raises(InvalidPhiError):
             from_phi_sigma(PhiSigma((2, 2, 2), ("+", "+", "+")))
 
+    def test_rejects_sigma_of_another_length(self):
+        with pytest.raises(InvalidPhiError) as err:
+            phi_sigma((2, 3), ("+",))
+        assert str(err.value) == "phi has 2 entries but sigma has 1"
+
     def test_rejects_misplaced_sigma(self):
         with pytest.raises(InvalidPhiError):
             phi_sigma((2, 3, 4), ("+", "+", "+"))
@@ -565,6 +572,18 @@ class TestStreamPositions:
         # row d offers one choice, so its weight is the stream length
         assert count_matrices(d) == _row_weights(d)[-1] \
             == sum(1 for _ in enumerate_matrices(d))
+
+    def test_count_builds_no_choice_table(self):
+        # A table of the 1 + 2(d-p) choices of every row holds d^2 tuples:
+        # about 385 MB at d = 2000.
+        tracemalloc.start()
+        try:
+            count = count_matrices(2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == math.prod(range(1, 4000, 2))
+        assert peak < 20_000_000
 
     @pytest.mark.parametrize("d", [0, -1])
     def test_count_and_weights_reject_nonpositive_dimension(self, d):

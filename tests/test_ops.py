@@ -406,6 +406,37 @@ class TestNeighbors:
         assert len(conjugates) == factorial(t.size) // sizes
 
 
+def brute_force_perms(phi):
+    """The perms of permutations(), in its lexicographic order, that keep
+    every label below its parent's (a root's parent, d+1, keeps d+1)."""
+    d = len(phi)
+    out = []
+    for perm in permutations(range(1, d + 1)):
+        labels = (*perm, d + 1)
+        if all(labels[v0] < labels[p - 1] for v0, p in enumerate(phi)):
+            out.append(perm)
+    return out
+
+
+class TestAdmissiblePerms:
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 4, 5, 6])
+    def test_equals_brute_force_in_order(self, d):
+        for phi in product(*[range(p + 1, d + 2) for p in range(1, d + 1)]):
+            assert ops_module._admissible_perms(phi) == brute_force_perms(phi)
+
+    def test_long_chain_has_only_the_identity(self):
+        d = 1100
+        chain = tuple(range(2, d + 2))  # vertex v's parent is v+1
+        assert ops_module._admissible_perms(chain) == [tuple(range(1, d + 1))]
+
+    def test_star_orders_its_leaves_freely(self):
+        star = (9,) * 8 + (10,)  # eight leaves under the root 9
+        perms = ops_module._admissible_perms(star)
+        assert len(perms) == factorial(8)
+        assert perms[0] == tuple(range(1, 10))
+        assert perms[-1] == (8, 7, 6, 5, 4, 3, 2, 1, 9)
+
+
 class TestColumnFlip:
     def test_reference_fixtures(self, a6):
         assert flip_column(a6, 3).rows == tuple(
@@ -614,6 +645,12 @@ class TestReplay:
             [0, 0, 0, 0, 0, 0, 0],
         ])
         assert result == expected
+
+    def test_a_non_step_is_a_type_error(self, a6):
+        with pytest.raises(TypeError, match="^not a step: 'x'$"):
+            ops_module.step_to_json("x")
+        with pytest.raises(TypeError, match="^not a step: 'x'$"):
+            replay(a6, ["x"])
 
     def test_step_failure_carries_index(self, a6):
         with pytest.raises(StepFailedError) as err:
